@@ -1,11 +1,13 @@
 """Deterministic design-space exploration for the MFCC front end.
 
-Each select_* routine walks its candidate list from cheapest to most
-expensive and returns the first candidate meeting the stated criterion,
-so the result is the minimal feasible choice by construction.  run_dse
-chains the six decisions in a fixed order, threading each choice into
-the working design point, and emits a self-contained JSON-able report.
-Interactions between stages are resolved greedily, not jointly.
+Each criterion has one measure (_retention, _peak_stability, _dc_fraction,
+_leakage, _fft_loss, _mel_delta) scoring a design point on a corpus;
+evaluate_point reports the same measures.  Each _decide_* hands its
+measure to _walk, which tries the candidates cheapest first, picks the
+first that meets the criterion (the minimal feasible choice by
+construction) and logs what it measured.  run_dse chains the six
+decisions in a fixed order under THRESHOLDS, threading each choice into
+the working design point; stages interact greedily, not jointly.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import CORPUS_VERSION, corpus_digest, corpus_signals
+from .corpus import corpus_digest, corpus_signals
 from .errors import (
+    ConfigInvalid,
     DegenerateInput,
     InvalidFactor,
     InvalidSize,
@@ -52,6 +55,28 @@ REFERENCE_FFT = 256
 # one LSB of the reference energy word; frames below this are silence
 ENERGY_FLOOR = 2.0 ** -12
 
+# default criterion thresholds; run_dse's config may override any of them
+THRESHOLDS = {
+    "retention_min": 0.90,  # bandwidth: mean in-band power share
+    "err_max": 0.10,  # bit width: worst relative peak-magnitude error
+    "frac_max": 0.01,  # pre-emphasis: mean DC-bin power share
+    "leak_max": 0.10,  # window: spectral leakage
+    "loss_max": 0.25,  # FFT size: log-mel distance from the reference
+    "delta_max": 0.05,  # mel shape: rectangular vs triangular distance
+}
+
+
+def dse_thresholds(config: dict | None = None) -> dict:
+    """THRESHOLDS with config's overrides; ConfigInvalid names unknown keys."""
+    config = {} if config is None else config
+    if not isinstance(config, dict):
+        raise ConfigInvalid("DSE thresholds must be a JSON object")
+    unknown = sorted(set(config) - set(THRESHOLDS))
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown DSE threshold(s) {unknown}; known: {sorted(THRESHOLDS)}")
+    return {**THRESHOLDS, **config}
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -75,31 +100,10 @@ class DesignPoint:
             raise InvalidSize(f"fft_size must be one of {ALLOWED_FFT_SIZES}")
 
     def pipeline_config(self, **overrides) -> PipelineConfig:
-        base = dict(
-            sample_rate=self.sample_rate,
-            bit_width=self.bit_width,
-            preemphasis_k=self.preemphasis_k,
-            fft_size=self.fft_size,
-            window_policy=self.window_policy,
-            mel_shape=self.mel_shape,
-            n_mel=self.n_mel,
-            n_mfcc=self.n_mfcc,
-            mode="fixed",
-        )
-        base.update(overrides)
-        return PipelineConfig(**base)
+        return PipelineConfig(**{**asdict(self), "mode": "fixed", **overrides})
 
     def as_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "bit_width": self.bit_width,
-            "preemphasis_k": self.preemphasis_k,
-            "fft_size": self.fft_size,
-            "window_policy": self.window_policy,
-            "mel_shape": self.mel_shape,
-            "n_mel": self.n_mel,
-            "n_mfcc": self.n_mfcc,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,7 @@ class DesignMetrics:
     mel_shape_delta: float
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "power_proxy", "area_proxy", "power_retention",
-            "dc_bin_fraction", "leakage", "spectro_error",
-            "mel_shape_delta")}
+        return asdict(self)
 
 
 @dataclass
@@ -128,13 +129,7 @@ class DseReport:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "corpus_digest": self.corpus_digest,
-            "decisions": self.decisions,
-            "chosen_point": self.chosen_point.as_dict() if self.chosen_point else None,
-            "cost": self.cost,
-            "error": self.error,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
@@ -190,43 +185,22 @@ def top_peak_bins(power_row: np.ndarray, max_peaks: int = 3) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# decision stages;  each _decide_* returns (choice, log entry)
+# measures: one function per criterion, shared by the decisions and
+# evaluate_point
 # ---------------------------------------------------------------------------
 
-def _decide_bandwidth(corpus, retention_min: float) -> tuple[int, dict]:
-    values = {}
-    choice = None
-    for rate in RATE_CANDIDATES:
-        fr = [band_power_fraction(s, rate / 2) for s in corpus]
-        values[rate] = float(np.mean(fr))
-        if choice is None and values[rate] >= retention_min:
-            choice = rate
-    if choice is None:
-        raise NoFeasiblePoint("no candidate rate retains enough band power")
-    entry = {
-        "criterion": "bandwidth",
-        "parameter": "sample_rate",
-        "threshold": retention_min,
-        "candidates": [
-            {"value": r, "retention": values[r], "feasible": values[r] >= retention_min}
-            for r in RATE_CANDIDATES
-        ],
-        "selection": choice,
-    }
-    return choice, entry
+def _retention(corpus, rate: int) -> float:
+    """Mean share of signal power below the Nyquist frequency of rate."""
+    return float(np.mean([band_power_fraction(s, rate / 2) for s in corpus]))
 
 
-def select_bandwidth(corpus, retention_min: float = 0.90) -> int:
-    return _decide_bandwidth(corpus, retention_min)[0]
-
-
-def _bitwidth_worst(corpus, p: DesignPoint, b: int) -> tuple[bool, float]:
-    """Peak-set stability and worst peak-magnitude error at width b."""
+def _peak_stability(corpus, p: DesignPoint) -> tuple[bool, float]:
+    """Peak-set stability and worst peak-magnitude error, fixed vs float."""
     sets_match = True
     worst = 0.0
     for s in corpus:
-        pf = mfcc_pipeline(s, p.pipeline_config(bit_width=b, mode="float")).power
-        px = mfcc_pipeline(s, p.pipeline_config(bit_width=b, mode="fixed")).power
+        pf = mfcc_pipeline(s, p.pipeline_config(mode="float")).power
+        px = mfcc_pipeline(s, p.pipeline_config(mode="fixed")).power
         for i in range(pf.shape[0]):
             ref = top_peak_bins(pf[i])
             if set(ref) != set(top_peak_bins(px[i])):
@@ -234,77 +208,108 @@ def _bitwidth_worst(corpus, p: DesignPoint, b: int) -> tuple[bool, float]:
                 continue
             for k in ref:
                 mf = math.sqrt(pf[i][k])
-                mx = math.sqrt(px[i][k])
-                worst = max(worst, abs(mx - mf) / mf)
+                worst = max(worst, abs(math.sqrt(px[i][k]) - mf) / mf)
     return sets_match, worst
 
 
-def _decide_bitwidth(corpus, p: DesignPoint, err_max: float = 0.10) -> tuple[int, dict]:
-    cands = []
+def _dc_fraction(corpus, p: DesignPoint) -> tuple[float, float]:
+    """Mean DC-bin share of post-filter frame power, and the total power."""
+    fracs = []
+    total = 0.0
+    for s in corpus:
+        pw = mfcc_pipeline(s, p.pipeline_config(mode="float")).power
+        den = pw.sum(axis=1)
+        total += float(den.sum())
+        keep = den > 0
+        fracs.extend((pw[keep, :2].sum(axis=1) / den[keep]).tolist())
+    return (float(np.mean(fracs)) if fracs else 0.0), total
+
+
+def _leakage(p: DesignPoint) -> float:
+    return spectral_leakage(
+        window_coefficients(p.fft_size, p.window_policy, p.bit_width).values)
+
+
+def _fft_loss(corpus, p: DesignPoint) -> float:
+    """Fixed-mode log-mel distance from the float reference-size FFT."""
+    hop = REFERENCE_FFT // 2
+    ref = p.pipeline_config(fft_size=REFERENCE_FFT, frame_hop=hop, mode="float")
+    return _mean_distance(corpus, p.pipeline_config(frame_hop=hop), ref)
+
+
+def _mel_delta(corpus, p: DesignPoint) -> float:
+    """Log-mel distance of rectangular filters from triangular ones."""
+    return _mean_distance(corpus, p.pipeline_config(mel_shape="rectangular"),
+                          p.pipeline_config(mel_shape="triangular"))
+
+
+# ---------------------------------------------------------------------------
+# decisions: each _decide_* walks its candidates, returning (choice, log entry)
+# ---------------------------------------------------------------------------
+
+def _walk(criterion: str, parameter: str, threshold: float, candidates, judge,
+          failure: str, exhaustive: bool = False):
+    """First candidate that judge finds feasible, plus the decision log entry.
+
+    judge(value) returns (measured fields, feasible).  The walk stops at
+    the first feasible candidate unless exhaustive, in which case every
+    candidate is measured and logged.
+    """
+    logged = []
     choice = None
-    for b in BIT_CANDIDATES:
-        ok_sets, worst = _bitwidth_worst(corpus, p, b)
-        feasible = ok_sets and worst <= err_max
-        cands.append({
-            "value": b,
-            "peak_sets_match": ok_sets,
-            "worst_peak_error": worst,
-            "feasible": feasible,
-        })
-        if feasible:
-            choice = b
-            break
+    for value in candidates:
+        fields, feasible = judge(value)
+        logged.append({"value": value, **fields, "feasible": feasible})
+        if feasible and choice is None:
+            choice = value
+            if not exhaustive:
+                break
     if choice is None:
-        raise NoFeasiblePoint("no bit width preserves the spectral peaks")
-    entry = {
-        "criterion": "bitwidth",
-        "parameter": "bit_width",
-        "threshold": err_max,
-        "candidates": cands,
-        "selection": choice,
-    }
-    return choice, entry
+        raise NoFeasiblePoint(failure)
+    return choice, {"criterion": criterion, "parameter": parameter, "threshold": threshold,
+                    "candidates": logged, "selection": choice}
+
+
+def _decide_bandwidth(corpus, retention_min: float):
+    def judge(rate):
+        retention = _retention(corpus, rate)
+        return {"retention": retention}, retention >= retention_min
+
+    return _walk("bandwidth", "sample_rate", retention_min, RATE_CANDIDATES, judge,
+                 "no candidate rate retains enough band power", exhaustive=True)
+
+
+def select_bandwidth(corpus, retention_min: float = THRESHOLDS["retention_min"]) -> int:
+    return _decide_bandwidth(corpus, retention_min)[0]
+
+
+def _decide_bitwidth(corpus, p: DesignPoint, err_max: float = THRESHOLDS["err_max"]):
+    def judge(b):
+        ok_sets, worst = _peak_stability(corpus, replace(p, bit_width=b))
+        return ({"peak_sets_match": ok_sets, "worst_peak_error": worst},
+                ok_sets and worst <= err_max)
+
+    return _walk("bitwidth", "bit_width", err_max, BIT_CANDIDATES, judge,
+                 "no bit width preserves the spectral peaks")
 
 
 def select_bitwidth(corpus, p: DesignPoint) -> int:
     return _decide_bitwidth(corpus, p)[0]
 
 
-def _decide_alpha(corpus, p: DesignPoint, frac_max: float = 0.01) -> tuple[int, dict]:
-    cands = []
-    choice = None
-    for k in ALPHA_CANDIDATES:
-        fracs = []
-        total = 0.0
-        for s in corpus:
-            pw = mfcc_pipeline(
-                s, p.pipeline_config(preemphasis_k=k, mode="float")).power
-            den = pw.sum(axis=1)
-            total += float(den.sum())
-            keep = den > 0
-            fracs.extend((pw[keep, :2].sum(axis=1) / den[keep]).tolist())
-        if not fracs or total < ENERGY_FLOOR:
-            raise DegenerateInput(
-                f"post-filter corpus energy below floor at k={k}")
-        frac = float(np.mean(fracs))
-        feasible = frac <= frac_max
-        cands.append({"value": k, "dc_bin_fraction": frac, "feasible": feasible})
-        if feasible:
-            choice = k
-            break
-    if choice is None:
-        raise NoFeasiblePoint("no filter strength suppresses the DC bins")
+def _decide_alpha(corpus, p: DesignPoint, frac_max: float = THRESHOLDS["frac_max"]):
+    def judge(k):
+        frac, total = _dc_fraction(corpus, replace(p, preemphasis_k=k))
+        if total < ENERGY_FLOOR:
+            raise DegenerateInput(f"post-filter corpus energy below floor at k={k}")
+        return {"dc_bin_fraction": frac}, frac <= frac_max
+
+    choice, entry = _walk("dc_suppression", "preemphasis_k", frac_max, ALPHA_CANDIDATES,
+                          judge, "no filter strength suppresses the DC bins")
     omega = 2 * math.pi * 1000 / p.sample_rate
     alpha = 1 - 2.0 ** -choice
     gain = abs(1 - alpha * complex(math.cos(omega), -math.sin(omega)))
-    entry = {
-        "criterion": "dc_suppression",
-        "parameter": "preemphasis_k",
-        "threshold": frac_max,
-        "candidates": cands,
-        "selection": choice,
-        "passband_gain_1khz_db": 20 * math.log10(gain),
-    }
+    entry["passband_gain_1khz_db"] = 20 * math.log10(gain)
     return choice, entry
 
 
@@ -320,88 +325,51 @@ def _adder_terms(policy: WindowPolicy, n: int, bit_width: int) -> int:
     return sum(len(a.terms) for a in spec.approxs if a is not None)
 
 
-def _decide_window(
-    p: DesignPoint,
-    policies: tuple[WindowPolicy, ...] = WINDOW_CANDIDATES,
-    leak_max: float = 0.10,
-) -> tuple[WindowPolicy, dict]:
+def _decide_window(_corpus, p: DesignPoint, leak_max: float = THRESHOLDS["leak_max"],
+                   policies: tuple[WindowPolicy, ...] = WINDOW_CANDIDATES):
+    """Leakage depends on the point only; the corpus is not read."""
+    def judge(pol):
+        leak = _leakage(replace(p, window_policy=pol))
+        return {"leakage": leak}, leak <= leak_max
+
     order = sorted(policies, key=lambda pol: _adder_terms(pol, p.fft_size, p.bit_width))
-    cands = []
-    choice = None
-    for pol in order:
-        spec = window_coefficients(p.fft_size, pol, p.bit_width)
-        leak = spectral_leakage(spec.values)
-        feasible = leak <= leak_max
-        cands.append({"value": pol, "leakage": leak, "feasible": feasible})
-        if choice is None and feasible:
-            choice = pol
-    if choice is None:
-        raise NoFeasiblePoint("no window policy meets the leakage bound")
-    entry = {
-        "criterion": "window_leakage",
-        "parameter": "window_policy",
-        "threshold": leak_max,
-        "candidates": cands,
-        "selection": choice,
-    }
-    return choice, entry
+    return _walk("window_leakage", "window_policy", leak_max, order, judge,
+                 "no window policy meets the leakage bound", exhaustive=True)
 
 
 def select_window_policy(
     p: DesignPoint,
     policies: tuple[WindowPolicy, ...] = WINDOW_CANDIDATES,
 ) -> WindowPolicy:
-    return _decide_window(p, policies)[0]
+    return _decide_window(None, p, policies=policies)[0]
 
 
-def _decide_fft_size(corpus, p: DesignPoint, loss_max: float = 0.25) -> tuple[int, dict]:
-    hop = REFERENCE_FFT // 2
-    ref = p.pipeline_config(fft_size=REFERENCE_FFT, frame_hop=hop, mode="float")
-    cands = []
-    choice = None
-    for n in FFT_CANDIDATES:
-        cfg = p.pipeline_config(fft_size=n, frame_hop=hop, mode="fixed")
-        loss = _mean_distance(corpus, cfg, ref)
-        feasible = loss <= loss_max
-        cands.append({"value": n, "loss": loss, "feasible": feasible})
-        if feasible:
-            choice = n
-            break
-    if choice is None:
-        raise NoFeasiblePoint("even the reference size exceeds the loss bound")
-    entry = {
-        "criterion": "fft_loss",
-        "parameter": "fft_size",
-        "threshold": loss_max,
-        "candidates": cands,
-        "selection": choice,
-    }
-    return choice, entry
+def _decide_fft_size(corpus, p: DesignPoint, loss_max: float = THRESHOLDS["loss_max"]):
+    def judge(n):
+        loss = _fft_loss(corpus, replace(p, fft_size=n))
+        return {"loss": loss}, loss <= loss_max
+
+    return _walk("fft_loss", "fft_size", loss_max, FFT_CANDIDATES, judge,
+                 "even the reference size exceeds the loss bound")
 
 
-def select_fft_size(corpus, p: DesignPoint, loss_max: float = 0.25) -> int:
+def select_fft_size(corpus, p: DesignPoint, loss_max: float = THRESHOLDS["loss_max"]) -> int:
     return _decide_fft_size(corpus, p, loss_max)[0]
 
 
-def _decide_mel_shape(corpus, p: DesignPoint, delta_max: float = 0.05) -> tuple[MelShape, dict]:
-    rect = p.pipeline_config(mel_shape="rectangular", mode="fixed")
-    tri = p.pipeline_config(mel_shape="triangular", mode="fixed")
-    delta = _mean_distance(corpus, rect, tri)
-    choice: MelShape = "rectangular" if delta <= delta_max else "triangular"
-    entry = {
-        "criterion": "mel_shape_delta",
-        "parameter": "mel_shape",
-        "threshold": delta_max,
-        "candidates": [
-            {"value": "rectangular", "delta": delta, "feasible": delta <= delta_max},
-            {"value": "triangular", "delta": 0.0, "feasible": True},
-        ],
-        "selection": choice,
-    }
-    return choice, entry
+def _decide_mel_shape(corpus, p: DesignPoint, delta_max: float = THRESHOLDS["delta_max"]):
+    def judge(shape):
+        if shape == "triangular":  # the reference: zero delta by definition
+            return {"delta": 0.0}, True
+        delta = _mel_delta(corpus, p)
+        return {"delta": delta}, delta <= delta_max
+
+    return _walk("mel_shape_delta", "mel_shape", delta_max, ("rectangular", "triangular"),
+                 judge, "no mel shape meets the delta bound", exhaustive=True)
 
 
-def select_mel_shape(corpus, p: DesignPoint, delta_max: float = 0.05) -> MelShape:
+def select_mel_shape(corpus, p: DesignPoint,
+                     delta_max: float = THRESHOLDS["delta_max"]) -> MelShape:
     return _decide_mel_shape(corpus, p, delta_max)[0]
 
 
@@ -410,37 +378,11 @@ def evaluate_point(p: DesignPoint, corpus) -> DesignMetrics:
     if not corpus:
         raise DegenerateInput("corpus is empty")
     power, area = cost_model(p)
-    retention = float(np.mean(
-        [band_power_fraction(s, p.sample_rate / 2) for s in corpus]))
-    fracs = []
-    for s in corpus:
-        pw = mfcc_pipeline(s, p.pipeline_config(mode="float")).power
-        den = pw.sum(axis=1)
-        keep = den > 0
-        fracs.extend((pw[keep, :2].sum(axis=1) / den[keep]).tolist())
-    dc_frac = float(np.mean(fracs)) if fracs else 0.0
-    leak = spectral_leakage(
-        window_coefficients(p.fft_size, p.window_policy, p.bit_width).values)
-    hop = REFERENCE_FFT // 2
-    err = _mean_distance(
-        corpus,
-        p.pipeline_config(frame_hop=hop, mode="fixed"),
-        p.pipeline_config(fft_size=REFERENCE_FFT, frame_hop=hop, mode="float"),
-    )
-    delta = _mean_distance(
-        corpus,
-        p.pipeline_config(mel_shape="rectangular", mode="fixed"),
-        p.pipeline_config(mel_shape="triangular", mode="fixed"),
-    )
     return DesignMetrics(
-        power_proxy=power,
-        area_proxy=area,
-        power_retention=retention,
-        dc_bin_fraction=dc_frac,
-        leakage=leak,
-        spectro_error=err,
-        mel_shape_delta=delta,
-    )
+        power_proxy=power, area_proxy=area,
+        power_retention=_retention(corpus, p.sample_rate),
+        dc_bin_fraction=_dc_fraction(corpus, p)[0], leakage=_leakage(p),
+        spectro_error=_fft_loss(corpus, p), mel_shape_delta=_mel_delta(corpus, p))
 
 
 def pareto_front(points: list[tuple[DesignPoint, DesignMetrics]]) -> list[tuple[DesignPoint, DesignMetrics]]:
@@ -463,8 +405,6 @@ def pareto_front(points: list[tuple[DesignPoint, DesignMetrics]]) -> list[tuple[
 # ---------------------------------------------------------------------------
 
 class _BundledCorpus:
-    digest = None  # set lazily
-
     def __init__(self) -> None:
         self.digest = corpus_digest()
 
@@ -513,23 +453,24 @@ class DseStageError(Exception):
         self.report = report
 
 
+# the decisions after bandwidth, in order, with their threshold names
+_CHAIN = (
+    (_decide_bitwidth, "err_max"),
+    (_decide_alpha, "frac_max"),
+    (_decide_window, "leak_max"),
+    (_decide_fft_size, "loss_max"),
+    (_decide_mel_shape, "delta_max"),
+)
+
+
 def run_dse(corpus_dir: str | Path | None = None, config: dict | None = None) -> DseReport:
     """Run all six selection stages in order and report the chosen point.
 
     corpus_dir of None uses the bundled corpus; otherwise the directory
     must hold mono 16-bit WAV files.  config may override the criterion
-    thresholds: retention_min, err_max, frac_max, leak_max, loss_max,
-    delta_max.
+    thresholds named in THRESHOLDS; any other key raises ConfigInvalid.
     """
-    cfg = {
-        "retention_min": 0.90,
-        "err_max": 0.10,
-        "frac_max": 0.01,
-        "leak_max": 0.10,
-        "loss_max": 0.25,
-        "delta_max": 0.05,
-    }
-    cfg.update(config or {})
+    cfg = dse_thresholds(config)
     if corpus_dir is None:
         source = _BundledCorpus()
     else:
@@ -545,26 +486,10 @@ def run_dse(corpus_dir: str | Path | None = None, config: dict | None = None) ->
         report.decisions.append(entry)
         p = replace(p, sample_rate=rate)
         working = source.at_rate(rate)
-
-        b, entry = _decide_bitwidth(working, p, cfg["err_max"])
-        report.decisions.append(entry)
-        p = replace(p, bit_width=b)
-
-        k, entry = _decide_alpha(working, p, cfg["frac_max"])
-        report.decisions.append(entry)
-        p = replace(p, preemphasis_k=k)
-
-        pol, entry = _decide_window(p, WINDOW_CANDIDATES, cfg["leak_max"])
-        report.decisions.append(entry)
-        p = replace(p, window_policy=pol)
-
-        n, entry = _decide_fft_size(working, p, cfg["loss_max"])
-        report.decisions.append(entry)
-        p = replace(p, fft_size=n)
-
-        shape, entry = _decide_mel_shape(working, p, cfg["delta_max"])
-        report.decisions.append(entry)
-        p = replace(p, mel_shape=shape)
+        for decide, key in _CHAIN:
+            value, entry = decide(working, p, cfg[key])
+            report.decisions.append(entry)
+            p = replace(p, **{entry["parameter"]: value})
     except Exception as exc:
         report.error = f"{type(exc).__name__}: {exc}"
         raise DseStageError(exc, report) from exc
