@@ -19,7 +19,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dse import DseStageError, run_dse
+from .dse import DseStageError, dse_thresholds, run_dse
 from .errors import (
     CheckpointCorrupt,
     ConfigInvalid,
@@ -408,6 +408,8 @@ def validate_config(config: dict) -> None:
     unknown = set(stages) - set(STAGES)
     if unknown:
         raise ConfigInvalid(f"unknown stages: {sorted(unknown)}")
+    if isinstance(stages.get("architecture"), dict):
+        dse_thresholds(stages["architecture"].get("dse"))
     for name in ("rtl", "synthesis"):
         sc = stages.get(name)
         if sc is None:

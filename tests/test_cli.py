@@ -91,6 +91,16 @@ def test_dse_unmet_threshold_exits_one(tmp_path):
     assert code == EXIT_UNMET
 
 
+def test_dse_unknown_threshold_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"err_mx": 0.2}))
+    out = tmp_path / "dse.json"
+    code = dispatch(["dse", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "err_mx" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_run_and_exit_codes(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps([{"status": "pass"}]))

@@ -20,7 +20,7 @@ from kwsflow.dse import (
     select_window_policy,
     top_peak_bins,
 )
-from kwsflow.errors import DegenerateInput, NoFeasiblePoint
+from kwsflow.errors import ConfigInvalid, DegenerateInput, NoFeasiblePoint
 from kwsflow.signal import SignalBuffer
 
 
@@ -261,3 +261,9 @@ def test_run_dse_stage_failure_carries_partial_report():
     assert report.chosen_point is None
     assert len(report.decisions) >= 1
     assert report.decisions[0]["parameter"] == "sample_rate"
+
+
+def test_run_dse_rejects_unknown_threshold_before_any_stage():
+    # a stage failure would surface as DseStageError, not ConfigInvalid
+    with pytest.raises(ConfigInvalid, match="err_mx"):
+        run_dse(config={"err_mx": 0.2, "loss_max": 0.3})

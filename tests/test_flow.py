@@ -88,6 +88,15 @@ def test_validate_config_mock_needs_scenario():
         )
 
 
+def test_validate_config_rejects_unknown_dse_threshold(tmp_path):
+    cfg = make_config(tmp_path, [_pass()])
+    cfg["stages"]["architecture"] = {"dse": {"delta_max": 0.1}}
+    validate_config(cfg)
+    cfg["stages"]["architecture"] = {"dse": {"delta_mx": 0.1}}
+    with pytest.raises(ConfigInvalid, match="delta_mx"):
+        validate_config(cfg)
+
+
 def test_invalid_config_rejected_before_any_side_effect(tmp_path):
     work = tmp_path / "never_created"
     cfg = {"workdir": str(work), "stages": {"rtl": {"adapter": "bogus"}}}
