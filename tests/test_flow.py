@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from kwsflow import flow
 from kwsflow.errors import (
     CheckpointCorrupt,
     ConfigInvalid,
@@ -210,6 +211,19 @@ def test_artifacts_recorded(tmp_path):
     result = run_flow(cfg)
     assert "design_point.json" in result.artifacts
     assert any(p.startswith("rtl/") for p in result.artifacts)
+
+
+def test_synthesis_adapter_keeps_cell_count_at_zero_slack(tmp_path, monkeypatch):
+    synth = ToolReport(status="pass", cell_count=42, raw_capture="synth\n")
+    sta = ToolReport(status="pass", worst_slack_ns=0.0, raw_capture="sta\n")
+    monkeypatch.setattr(flow, "run_synthesis", lambda *a, **k: synth)
+    monkeypatch.setattr(flow, "run_sta", lambda *a, **k: sta)
+    adapter = flow._build_adapter(
+        {"liberty": "cells.lib", "sdc": "top.sdc"}, "synthesis")
+    report = adapter(Proposal.from_dict(_proposal(0)), tmp_path)
+    assert report.status == "pass"
+    assert report.cell_count == 42
+    assert report.worst_slack_ns == 0.0
 
 
 # -------------------------------------------------------------- checkpoints
