@@ -241,13 +241,20 @@ def _extract_fenced_json(text: str) -> dict:
     return obj
 
 
+def _parse_verdict(obj: dict) -> Verdict:
+    prop = Proposal.from_dict(obj["proposal"]) if obj.get("proposal") else None
+    return Verdict(kind=obj.get("kind", ""), proposal=prop, reason=str(obj.get("reason", "")))
+
+
 class RemoteReasoner:
     """Chat-endpoint reasoner; strict fenced-JSON reply schema.
 
     Each propose/reflect is one POST of a chat-style message list.  The
     reply body's text must contain exactly one fenced block holding the
     Proposal or Verdict JSON.  Transport errors retry up to 3 times
-    with exponential backoff; schema errors likewise.
+    with exponential backoff; schema errors likewise, including a reply
+    that does not parse as a Proposal or Verdict.  An accept verdict on
+    a failing report is rejected without retrying.
     """
 
     RETRIES = 3
@@ -273,14 +280,14 @@ class RemoteReasoner:
         except (KeyError, IndexError, TypeError) as exc:
             raise SchemaViolation(f"malformed chat response: {exc}") from exc
 
-    def _round_trip(self, messages: list[dict]) -> dict:
+    def _round_trip(self, messages: list[dict], parse):
+        """parse(payload) of the first reply that parses; schema errors retry."""
         last: Exception | None = None
         for attempt in range(self.RETRIES):
             try:
-                return _extract_fenced_json(self._post(messages))
-            except SchemaViolation as exc:
-                last = exc
-            except (urllib.error.URLError, OSError, json.JSONDecodeError) as exc:
+                return parse(_extract_fenced_json(self._post(messages)))
+            except (SchemaViolation, urllib.error.URLError, OSError,
+                    json.JSONDecodeError) as exc:
                 last = exc
             if attempt + 1 < self.RETRIES:
                 time.sleep(self.backoff_s * (2 ** attempt))
@@ -295,7 +302,7 @@ class RemoteReasoner:
                         '{"writes": {path: text}, "params": {}, "rationale": ""}.'},
             {"role": "user", "content": json.dumps(context, sort_keys=True)},
         ]
-        return Proposal.from_dict(self._round_trip(messages))
+        return self._round_trip(messages, Proposal.from_dict)
 
     def reflect(self, context: dict, report: ToolReport) -> Verdict:
         messages = [
@@ -306,12 +313,10 @@ class RemoteReasoner:
             {"role": "user", "content": json.dumps(
                 {"context": context, "report": report.as_dict()}, sort_keys=True)},
         ]
-        obj = self._round_trip(messages)
-        kind = obj.get("kind", "")
-        if kind == "accept" and report.status != "pass":
+        verdict = self._round_trip(messages, _parse_verdict)
+        if verdict.kind == "accept" and report.status != "pass":
             raise SchemaViolation("accept verdict on a non-passing report")
-        prop = Proposal.from_dict(obj["proposal"]) if obj.get("proposal") else None
-        return Verdict(kind=kind, proposal=prop, reason=str(obj.get("reason", "")))
+        return verdict
 
 
 # ---------------------------------------------------------------------------

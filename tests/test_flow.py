@@ -383,3 +383,13 @@ def test_two_fenced_blocks_is_a_schema_violation(canned_server):
     handler.responses += [(200, double)] * 3
     with pytest.raises(SchemaViolation):
         r.propose({"stage": "rtl", "iteration": 0})
+
+
+def test_remote_reflect_retries_verdict_schema_errors(monkeypatch):
+    r = RemoteReasoner("http://127.0.0.1:9", backoff_s=0)
+    replies = [_fenced({"kind": "maybe"}),
+               _fenced({"kind": "revise", "proposal": {"writes": 7}}),
+               _fenced({"kind": "accept"})]
+    monkeypatch.setattr(r, "_post", lambda messages: replies.pop(0))
+    assert r.reflect({"stage": "rtl", "iteration": 0}, _pass()).kind == "accept"
+    assert replies == []
