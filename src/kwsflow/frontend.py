@@ -38,6 +38,7 @@ from .fixedpoint import (
     quantize_array,
     rshift_round_even_array,
     saturate_array,
+    shift_add_raw_array,
     to_real_array,
 )
 from .signal import SignalBuffer
@@ -156,8 +157,8 @@ def preemphasis(samples: np.ndarray, cfg: PreemphasisConfig, fmt: QFormat | None
         return x - cfg.alpha * prev
     raw = np.asarray(samples, dtype=np.int64)
     prev = np.concatenate(([0], raw[:-1]))
-    alpha_prev = saturate_array(prev - (prev >> cfg.k), fmt)
-    return saturate_array(raw - alpha_prev, fmt)
+    alpha = ShiftAddApprox(((1, 0), (-1, cfg.k)), cfg.alpha)
+    return saturate_array(raw - shift_add_raw_array(prev, alpha, fmt), fmt)
 
 
 @dataclass(frozen=True)
@@ -225,11 +226,7 @@ def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
         return mul_raw_array(frames, wq[np.newaxis, :], fmt)
     out = np.zeros_like(frames)
     for i, approx in enumerate(spec.approxs):
-        col = frames[:, i]
-        acc = np.zeros_like(col)
-        for sign, shift in approx.terms:
-            acc = acc + sign * (col >> shift)
-        out[:, i] = saturate_array(acc, fmt)
+        out[:, i] = shift_add_raw_array(frames[:, i], approx, fmt)
     return out
 
 
@@ -514,11 +511,11 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     for k in range(cfg.n_mfcc):
         acc = np.zeros(log_energies.shape[0], dtype=np.int64)
         for n in range(cfg.n_mel):
+            # a two-term product of a 12-bit log value fits acc_fmt, so
+            # saturating it first leaves the sum bit-identical
             approx = approx_csd(mat[k, n], 2, cfg.bit_width - 1)
-            col = log_energies[:, n]
-            for sign, shift in approx.terms:
-                acc = acc + sign * (col >> shift)
-            acc = saturate_array(acc, acc_fmt)
+            acc = saturate_array(
+                acc + shift_add_raw_array(log_energies[:, n], approx, acc_fmt), acc_fmt)
         out[:, k] = acc
     return out
 
