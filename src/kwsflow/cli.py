@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,20 +47,17 @@ def _cmd_gen(args) -> int:
 
 def _frames_json(result, cfg: PipelineConfig) -> str:
     return json.dumps({
-        "config": {
-            "sample_rate": cfg.sample_rate,
-            "bit_width": cfg.bit_width,
-            "preemphasis_k": cfg.preemphasis_k,
-            "fft_size": cfg.fft_size,
-            "frame_hop": cfg.frame_hop,
-            "window_policy": cfg.window_policy,
-            "mel_shape": cfg.mel_shape,
-            "n_mel": cfg.n_mel,
-            "n_mfcc": cfg.n_mfcc,
-            "mode": cfg.mode,
-        },
+        "config": asdict(cfg),
         "frames": [[float(v) for v in row] for row in result.mfcc],
     }, indent=2, sort_keys=True) + "\n"
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the --out path, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_mfcc(args) -> int:
@@ -99,11 +97,7 @@ def _cmd_compare(args) -> int:
         },
         "n_frames": int(rx.mfcc.shape[0]),
     }
-    text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(stats, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -112,18 +106,10 @@ def _cmd_dse(args) -> int:
     try:
         report = run_dse(args.corpus, dse_cfg)
     except DseStageError as exc:
-        text = exc.report.to_json()
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _emit(exc.report.to_json(), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNMET
-    text = report.to_json()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(report.to_json(), args.out)
     return EXIT_OK
 
 
@@ -134,11 +120,7 @@ def _cmd_flow(args) -> int:
         result = resume_flow(config, args.checkpoint)
     else:
         result = run_flow(config, checkpoint_path=args.checkpoint)
-    text = result.to_json()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(result.to_json(), args.out)
     return EXIT_OK if result.overall in ("success", "partial") else EXIT_UNMET
 
 
