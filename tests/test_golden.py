@@ -2,7 +2,7 @@
 
 Pins fixed-mode front-end bits over a matrix of configs, the bundled-corpus
 features, the DSE report and its partial failure reports, evaluate_point,
-and a hermetic flow result.  Any refactor or optimisation must leave every
+and two hermetic flow results.  Any refactor or optimisation must leave every
 digest unchanged; a digest that moves means hardware semantics moved.
 """
 
@@ -41,6 +41,7 @@ GOLDEN = {
     "dse_partial_loss_max": "790bc41720d686e4a51ca5bc76c81032b7b18132b65234cfef779adf6912a393",
     "evaluate_point": "2c5654e80a293615af316e58b5c2253865f3f921c80e4c278f5d116db3bed9bb",
     "flow_result": "94f04971cbafcbd2fed0bd636915d321e7f80732b7198c9819543993bab62efc",
+    "single_shot_flow": "b7cb026a7e82739550e775df8bda56a377dedd0fceaf0b7b5ef0539acea7caa7",
 }
 
 
@@ -126,6 +127,24 @@ def flow_result_digest(tmp_path) -> str:
     return text_digest(run_flow(config).to_json())
 
 
+def single_shot_flow_digest(tmp_path) -> str:
+    """Architecture (bundled DSE) and physical each write one history record."""
+    script = {"rtl": [{"writes": {"rtl/top.v": "module top; endmodule\n"},
+                       "params": {}, "rationale": "only attempt"}]}
+    config = {
+        "workdir": str(tmp_path / "work"),
+        "stages": {
+            "architecture": {},
+            "rtl": {"adapter": "mock", "budget": 1, "scenario": _write_json(
+                tmp_path / "rtl.json", [ToolReport(status="pass").as_dict()])},
+            "physical": {"command": "printf 'placed\\n'"},
+        },
+        "reasoner": {"kind": "scripted",
+                     "script": _write_json(tmp_path / "script.json", script)},
+    }
+    return text_digest(run_flow(config).to_json())
+
+
 def test_frontend_fixed_matrix_bits():
     assert frontend_matrix_digest() == GOLDEN["frontend_matrix"]
 
@@ -149,3 +168,7 @@ def test_evaluate_point_bytes():
 
 def test_hermetic_flow_result_bytes(tmp_path):
     assert flow_result_digest(tmp_path) == GOLDEN["flow_result"]
+
+
+def test_single_shot_flow_result_bytes(tmp_path):
+    assert single_shot_flow_digest(tmp_path) == GOLDEN["single_shot_flow"]
