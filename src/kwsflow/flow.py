@@ -31,6 +31,7 @@ from .errors import (
 from .toolchain import (
     MockAdapter,
     ToolReport,
+    run_command,
     run_simulation,
     run_sta,
     run_synthesis,
@@ -450,11 +451,7 @@ def _build_adapter(stage_cfg: dict, stage: str, skip: int = 0):
     if stage_cfg.get("adapter", "real") == "mock":
         mock = MockAdapter.from_file(stage_cfg["scenario"])
         mock.calls = skip  # scenario entries consumed before a resume
-
-        def mock_adapter(proposal: Proposal, workdir: Path) -> ToolReport:
-            return mock()
-
-        return mock_adapter
+        return mock
 
     if stage == "rtl":
         def sim_adapter(proposal: Proposal, workdir: Path) -> ToolReport:
@@ -487,6 +484,16 @@ def _build_adapter(stage_cfg: dict, stage: str, skip: int = 0):
     return synth_adapter
 
 
+def _record_once(state: FlowState, stage: str, proposal: str, report: str,
+                 ok: bool, t0: float) -> None:
+    """The single history record of a stage that runs without a reasoner."""
+    state.history.append(ActionRecord(
+        stage=stage, iteration=0, proposal_digest=_digest(proposal),
+        report_digest=_digest(report), verdict="accept" if ok else "abort",
+        wall_time=time.monotonic() - t0))
+    state.statuses[stage] = "passed" if ok else "failed"
+
+
 def _run_architecture(state: FlowState, config: dict, workdir: Path) -> None:
     acfg = config["stages"].get("architecture", {})
     state.statuses["architecture"] = "running"
@@ -495,24 +502,27 @@ def _run_architecture(state: FlowState, config: dict, workdir: Path) -> None:
         report = run_dse(acfg.get("corpus"), acfg.get("dse"))
     except DseStageError as exc:
         state.store("dse_report.json", exc.report.to_json())
-        state.history.append(ActionRecord(
-            stage="architecture", iteration=0,
-            proposal_digest=_digest("run_dse"),
-            report_digest=_digest(exc.report.to_json()),
-            verdict="abort", wall_time=time.monotonic() - t0))
-        state.statuses["architecture"] = "failed"
+        _record_once(state, "architecture", "run_dse", exc.report.to_json(), False, t0)
         return
     point_json = json.dumps(report.chosen_point.as_dict(),
                             indent=2, sort_keys=True) + "\n"
     (workdir / "design_point.json").write_text(point_json)
     state.store("design_point.json", point_json)
     state.store("dse_report.json", report.to_json())
-    state.history.append(ActionRecord(
-        stage="architecture", iteration=0,
-        proposal_digest=_digest("run_dse"),
-        report_digest=_digest(report.to_json()),
-        verdict="accept", wall_time=time.monotonic() - t0))
-    state.statuses["architecture"] = "passed"
+    _record_once(state, "architecture", "run_dse", report.to_json(), True, t0)
+
+
+def _run_physical(state: FlowState, pcfg: dict, workdir: Path) -> None:
+    if not pcfg.get("command"):
+        state.statuses["physical"] = "skipped"
+        return
+    t0 = time.monotonic()
+    report = run_command(["/bin/sh", "-c", pcfg["command"]], workdir,
+                         pcfg.get("timeout_s", 3600.0),
+                         lambda cap: ToolReport(status="pass", raw_capture=cap),
+                         "physical command")
+    _record_once(state, "physical", "external", report.raw_capture,
+                 report.status == "pass", t0)
 
 
 def _finish(state: FlowState) -> FlowResult:
@@ -565,22 +575,7 @@ def _run_stages(order, state, config, stages_cfg, workdir, after_record) -> None
             _run_architecture(state, config, workdir)
             after_record(state)
         elif stage == "physical":
-            if stages_cfg["physical"].get("command"):
-                import subprocess
-                t0 = time.monotonic()
-                proc = subprocess.run(
-                    stages_cfg["physical"]["command"], shell=True, cwd=workdir,
-                    stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-                status = "passed" if proc.returncode == 0 else "failed"
-                state.history.append(ActionRecord(
-                    stage="physical", iteration=0,
-                    proposal_digest=_digest("external"),
-                    report_digest=_digest(proc.stdout.decode("utf-8", "replace")),
-                    verdict="accept" if status == "passed" else "abort",
-                    wall_time=time.monotonic() - t0))
-                state.statuses["physical"] = status
-            else:
-                state.statuses["physical"] = "skipped"
+            _run_physical(state, stages_cfg["physical"], workdir)
             after_record(state)
         else:
             scfg = stages_cfg[stage]

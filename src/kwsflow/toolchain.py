@@ -16,6 +16,7 @@ import shutil
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import ScenarioExhausted
 
@@ -64,25 +65,35 @@ def _decode(data: bytes | str) -> str:
     return data or ""
 
 
-def _run(cmd: list[str], workdir: Path, timeout: float) -> tuple[int, str] | ToolReport:
-    """Run a child process; returns (exit code, capture) or an error report."""
+def run_command(cmd: list[str], workdir: Path, timeout: float,
+                parse: Callable[[str], ToolReport], name: str | None = None) -> ToolReport:
+    """Run one child process; every outcome comes back as a ToolReport.
+
+    A missing binary gives tool_missing and an expired timeout gives
+    timeout.  When name is given a nonzero exit gives compile_error;
+    otherwise the combined stdout/stderr capture goes to parse.
+    """
     try:
-        proc = subprocess.run(
-            cmd,
-            cwd=workdir,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=timeout,
-        )
+        proc = subprocess.run(cmd, cwd=workdir, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, timeout=timeout)
     except FileNotFoundError:
         return ToolReport(status="tool_missing", failures=(f"not found: {cmd[0]}",))
     except subprocess.TimeoutExpired as exc:
-        return ToolReport(
-            status="timeout",
-            failures=(f"killed after {timeout}s",),
-            raw_capture=_decode(exc.output or b""),
-        )
-    return proc.returncode, _decode(proc.stdout)
+        return ToolReport(status="timeout", failures=(f"killed after {timeout}s",),
+                          raw_capture=_decode(exc.output or b""))
+    cap = _decode(proc.stdout)
+    if name is not None and proc.returncode != 0:
+        return ToolReport(status="compile_error", failures=(f"{name} exited nonzero",),
+                          raw_capture=cap)
+    return parse(cap)
+
+
+def _missing(wd: Path, files) -> ToolReport | None:
+    """compile_error naming the first input that is not a file in wd."""
+    for f in files:
+        if not (wd / f).is_file():
+            return ToolReport(status="compile_error", failures=(f"missing file: {f}",))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +166,14 @@ def run_simulation(
 ) -> ToolReport:
     """Compile with Icarus Verilog and run the testbench binary."""
     wd = Path(workdir)
-    for f in [*rtl_files, testbench]:
-        if not (wd / f).is_file():
-            return ToolReport(status="compile_error", failures=(f"missing file: {f}",))
-    out = _run([iverilog, "-g2012", "-o", "sim.vvp", *rtl_files, testbench], wd, timeout)
-    if isinstance(out, ToolReport):
-        return out
-    code, cap = out
-    if code != 0:
-        return ToolReport(
-            status="compile_error",
-            failures=("iverilog exited nonzero",),
-            raw_capture=cap,
-        )
-    out = _run([vvp, "sim.vvp"], wd, timeout)
-    if isinstance(out, ToolReport):
-        return out
-    _, cap2 = out
-    return parse_simulation_output(cap2)
+    if (missing := _missing(wd, [*rtl_files, testbench])) is not None:
+        return missing
+    report = run_command([iverilog, "-g2012", "-o", "sim.vvp", *rtl_files, testbench],
+                         wd, timeout, lambda cap: ToolReport(status="pass"), "iverilog")
+    if report.status != "pass":
+        return report
+    # vvp's exit code is ignored: the testbench's PASS/FAIL lines decide
+    return run_command([vvp, "sim.vvp"], wd, timeout, parse_simulation_output)
 
 
 def run_synthesis(
@@ -185,9 +186,8 @@ def run_synthesis(
 ) -> ToolReport:
     """Synthesize to a gate-level netlist with Yosys and count cells."""
     wd = Path(workdir)
-    for f in rtl_files:
-        if not (wd / f).is_file():
-            return ToolReport(status="compile_error", failures=(f"missing file: {f}",))
+    if (missing := _missing(wd, rtl_files)) is not None:
+        return missing
     lines = [f"read_verilog {f}" for f in rtl_files]
     lines.append(f"synth -top {top}" if top else "synth")
     if liberty:
@@ -196,17 +196,7 @@ def run_synthesis(
     lines.append("stat")
     lines.append("write_verilog netlist.v")
     (wd / "synth.ys").write_text("\n".join(lines) + "\n")
-    out = _run([yosys, "-s", "synth.ys"], wd, timeout)
-    if isinstance(out, ToolReport):
-        return out
-    code, cap = out
-    if code != 0:
-        return ToolReport(
-            status="compile_error",
-            failures=("yosys exited nonzero",),
-            raw_capture=cap,
-        )
-    return parse_synthesis_output(cap)
+    return run_command([yosys, "-s", "synth.ys"], wd, timeout, parse_synthesis_output, "yosys")
 
 
 def run_sta(
@@ -219,9 +209,8 @@ def run_sta(
 ) -> ToolReport:
     """Worst-slack query through OpenSTA."""
     wd = Path(workdir)
-    for f in (netlist, constraints, liberty):
-        if not (wd / f).is_file():
-            return ToolReport(status="compile_error", failures=(f"missing file: {f}",))
+    if (missing := _missing(wd, (netlist, constraints, liberty))) is not None:
+        return missing
     script = "\n".join([
         f"read_liberty {liberty}",
         f"read_verilog {netlist}",
@@ -231,17 +220,7 @@ def run_sta(
         "exit",
     ]) + "\n"
     (wd / "sta.tcl").write_text(script)
-    out = _run([opensta, "-exit", "sta.tcl"], wd, timeout)
-    if isinstance(out, ToolReport):
-        return out
-    code, cap = out
-    if code != 0:
-        return ToolReport(
-            status="compile_error",
-            failures=("sta exited nonzero",),
-            raw_capture=cap,
-        )
-    return parse_sta_output(cap)
+    return run_command([opensta, "-exit", "sta.tcl"], wd, timeout, parse_sta_output, "sta")
 
 
 def tool_available(binary: str) -> bool:
@@ -271,14 +250,6 @@ class MockAdapter:
         report = self.reports[self.calls]
         self.calls += 1
         return report
-
-
-def run_mock(scenario: list[ToolReport] | MockAdapter, call_index: int) -> ToolReport:
-    """Index into a scenario; bounds-checked."""
-    reports = scenario.reports if isinstance(scenario, MockAdapter) else scenario
-    if not 0 <= call_index < len(reports):
-        raise ScenarioExhausted(f"no report at call index {call_index}")
-    return reports[call_index]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from kwsflow.toolchain import (
     parse_simulation_output,
     parse_sta_output,
     parse_synthesis_output,
-    run_mock,
     run_simulation,
     tool_available,
     write_fifo_fixture,
@@ -125,15 +124,16 @@ def _mk(status, **kw):
 
 def test_mock_returns_reports_in_order():
     mock = MockAdapter([_mk("fail", failures=("a",)), _mk("pass")])
-    assert run_mock(mock, 0).status == "fail"
-    assert run_mock(mock, 1).status == "pass"
+    assert mock().status == "fail"
+    assert mock().status == "pass"
+    assert mock.calls == 2
 
 
 def test_mock_exhaustion():
     mock = MockAdapter([_mk("pass")])
-    run_mock(mock, 0)
+    mock()
     with pytest.raises(ScenarioExhausted):
-        run_mock(mock, 1)
+        mock()
 
 
 def test_mock_from_file_round_trip(tmp_path):
@@ -143,8 +143,8 @@ def test_mock_from_file_round_trip(tmp_path):
     reports = [_mk("fail", failures=("t",)), _mk("pass", cell_count=9)]
     path.write_text(json.dumps([r.as_dict() for r in reports]))
     mock = MockAdapter.from_file(path)
-    assert run_mock(mock, 0) == reports[0]
-    assert run_mock(mock, 1) == reports[1]
+    assert mock() == reports[0]
+    assert mock() == reports[1]
 
 
 # ------------------------------------------------------------------- runners
