@@ -9,10 +9,13 @@ AIEDA_ENABLE_REAL_TOOLS because report formats drift across versions.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import re
 import shutil
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,17 +74,26 @@ def run_command(cmd: list[str], workdir: Path, timeout: float,
 
     A missing binary gives tool_missing and an expired timeout gives
     timeout.  When name is given a nonzero exit gives compile_error;
-    otherwise the combined stdout/stderr capture goes to parse.
+    otherwise the combined stdout/stderr capture goes to parse.  The child
+    leads its own process group, which is killed on timeout or on any
+    exception, so nothing it started outlives the call.
     """
     try:
-        proc = subprocess.run(cmd, cwd=workdir, stdout=subprocess.PIPE,
-                              stderr=subprocess.STDOUT, timeout=timeout)
+        proc = subprocess.Popen(cmd, cwd=workdir, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, start_new_session=True)
     except FileNotFoundError:
         return ToolReport(status="tool_missing", failures=(f"not found: {cmd[0]}",))
-    except subprocess.TimeoutExpired as exc:
-        return ToolReport(status="timeout", failures=(f"killed after {timeout}s",),
-                          raw_capture=_decode(exc.output or b""))
-    cap = _decode(proc.stdout)
+    with proc:
+        try:
+            out = proc.communicate(timeout=timeout)[0]
+        except BaseException as exc:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
+            return ToolReport(status="timeout", failures=(f"killed after {timeout}s",),
+                              raw_capture=_decode(exc.output or b""))
+    cap = _decode(out)
     if name is not None and proc.returncode != 0:
         return ToolReport(status="compile_error", failures=(f"{name} exited nonzero",),
                           raw_capture=cap)

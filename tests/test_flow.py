@@ -206,6 +206,16 @@ def test_physical_command_runs(tmp_path):
     assert run_flow(cfg2).overall == "failed"
 
 
+def test_physical_command_times_out(tmp_path):
+    cfg = make_config(tmp_path, [_pass()],
+                      stages={"physical": {"command": "sleep 30", "timeout_s": 1}})
+    result = run_flow(cfg)
+    physical = result.history[-1]
+    assert result.statuses["physical"] == "failed"
+    assert (physical.stage, physical.verdict) == ("physical", "abort")
+    assert physical.wall_time < 5.0
+
+
 def test_artifacts_recorded(tmp_path):
     cfg = make_config(tmp_path, [_pass()])
     result = run_flow(cfg)

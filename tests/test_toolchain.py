@@ -2,6 +2,7 @@
 
 import os
 import stat
+import subprocess
 import time
 
 import pytest
@@ -13,6 +14,7 @@ from kwsflow.toolchain import (
     parse_simulation_output,
     parse_sta_output,
     parse_synthesis_output,
+    run_command,
     run_simulation,
     tool_available,
     write_fifo_fixture,
@@ -168,6 +170,32 @@ def test_run_simulation_times_out_within_twice_budget(tmp_path):
     elapsed = time.monotonic() - t0
     assert r.status == "timeout"
     assert elapsed < 2.0
+
+
+def test_timeout_kills_the_tool_process_group(tmp_path):
+    forks = tmp_path / "forks"
+    forks.write_text("#!/bin/sh\n(sleep 2; echo late > late.txt) & wait\n")
+    forks.chmod(forks.stat().st_mode | stat.S_IEXEC)
+    files = write_fifo_fixture(tmp_path)
+    t0 = time.monotonic()
+    r = run_simulation(files[:1], files[1], tmp_path, timeout=1.0, iverilog=str(forks))
+    assert r.status == "timeout"
+    assert time.monotonic() - t0 < 2.0
+    time.sleep(3.0)
+    assert not (tmp_path / "late.txt").exists()
+
+
+def test_interrupt_kills_the_tool_process_group(tmp_path, monkeypatch):
+    def interrupted(self, timeout=None):
+        time.sleep(0.2)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_command(["/bin/sh", "-c", "(sleep 1; echo late > late.txt) & wait"],
+                    tmp_path, 5.0, parse_simulation_output)
+    time.sleep(1.5)
+    assert not (tmp_path / "late.txt").exists()
 
 
 def test_fifo_fixture_files_exist(tmp_path):
