@@ -616,7 +616,12 @@ def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
         "config_hash": _config_hash(config),
         "state": state.as_dict(),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    # a crash mid-write leaves the previous checkpoint in place; rename is
+    # atomic within a directory (no fsync: this guards against a crashed
+    # process, not against power loss)
+    tmp = Path(f"{path}.tmp")
+    tmp.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path, config: dict) -> FlowState:

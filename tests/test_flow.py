@@ -3,6 +3,7 @@
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +262,25 @@ def test_checkpoint_corrupt(tmp_path):
     cfg = make_config(tmp_path, [_pass()])
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(tmp_path / "ck.json", cfg)
+
+
+def test_crash_mid_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, [_fail("a"), _fail("b"), _pass()])
+    full = run_flow(cfg).to_json()
+    ck = tmp_path / "ck.json"
+    run_flow(cfg, checkpoint_path=ck, stop_after=2)
+    write_text = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("crash mid-write")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError, match="crash mid-write"):
+        save_checkpoint(FlowState(), cfg, ck)
+    monkeypatch.undo()
+    assert len(load_checkpoint(ck, cfg).history) == 2
+    assert resume_flow(cfg, ck).to_json() == full
 
 
 def test_resume_is_byte_identical_at_every_boundary(tmp_path):
