@@ -456,7 +456,7 @@ def _build_adapter(stage_cfg: dict, stage: str, skip: int = 0):
     if stage == "rtl":
         def sim_adapter(proposal: Proposal, workdir: Path) -> ToolReport:
             files = sorted(proposal.writes)
-            tbs = [f for f in files if "tb" in f]
+            tbs = [f for f in files if f.endswith("_tb.v")]
             rtl = [f for f in files if f not in tbs]
             if not tbs:
                 return ToolReport(status="compile_error",

@@ -237,6 +237,20 @@ def test_synthesis_adapter_keeps_cell_count_at_zero_slack(tmp_path, monkeypatch)
     assert report.worst_slack_ns == 0.0
 
 
+def test_rtl_adapter_takes_only_tb_suffix_as_testbench(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(flow, "run_simulation",
+                        lambda rtl, tb, *a, **k: calls.append((rtl, tb)) or _pass())
+    adapter = flow._build_adapter({}, "rtl")
+    writes = {f: "module m; endmodule\n" for f in ("fifo.v", "rtb_ctrl.v", "fifo_tb.v")}
+    assert adapter(Proposal(writes=writes), tmp_path).status == "pass"
+    assert calls == [(["fifo.v", "rtb_ctrl.v"], "fifo_tb.v")]
+    report = adapter(Proposal(writes={"top.v": "", "rtb_ctrl.v": ""}), tmp_path)
+    assert report.status == "compile_error"
+    assert report.failures == ("proposal contains no testbench",)
+    assert len(calls) == 1
+
+
 # -------------------------------------------------------------- checkpoints
 
 
