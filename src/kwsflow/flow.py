@@ -416,9 +416,19 @@ def validate_config(config: dict) -> None:
         raise ConfigInvalid(f"unknown stages: {sorted(unknown)}")
     if isinstance(stages.get("architecture"), dict):
         dse_thresholds(stages["architecture"].get("dse"))
-    for name in ("rtl", "synthesis"):
-        sc = stages.get(name)
-        if sc is None:
+    for name in ("rtl", "synthesis", "physical"):
+        if name not in stages:
+            continue
+        sc = stages[name]
+        if not isinstance(sc, dict):
+            raise ConfigInvalid(f"{name} stage must be an object")
+        timeout = sc.get("timeout_s", 1)
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
+                or not timeout > 0:
+            raise ConfigInvalid(f"{name} timeout_s must be a positive number")
+        if name == "physical":
+            if "command" in sc and not (isinstance(sc["command"], str) and sc["command"]):
+                raise ConfigInvalid("physical command must be a nonempty string")
             continue
         if not isinstance(sc.get("budget", 1), int) or sc.get("budget", 1) < 1:
             raise ConfigInvalid(f"{name} budget must be a positive integer")

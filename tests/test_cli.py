@@ -145,6 +145,17 @@ def test_flow_failure_exits_one(tmp_path):
     assert code == EXIT_UNMET
 
 
+def test_flow_bad_physical_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({
+        "workdir": str(tmp_path / "work"),
+        "stages": {"physical": {"command": "true", "timeout_s": 0}},
+    }))
+    assert dispatch(["flow", "run", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    assert "timeout_s" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 def test_bad_arguments_exit_two(tmp_path):
     assert dispatch(["mfcc", "--bogus"]) == EXIT_BAD_INPUT
     assert dispatch(["nonsense"]) == EXIT_BAD_INPUT

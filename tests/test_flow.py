@@ -99,6 +99,29 @@ def test_validate_config_rejects_unknown_dse_threshold(tmp_path):
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("stage_cfgs, match", [
+    ({"physical": None}, "must be an object"),
+    ({"physical": "sleep 1"}, "must be an object"),
+    ({"physical": {"command": ""}}, "nonempty string"),
+    ({"physical": {"command": ["true"]}}, "nonempty string"),
+    ({"physical": {"command": "true", "timeout_s": 0}}, "timeout_s"),
+    ({"physical": {"command": "true", "timeout_s": "60"}}, "timeout_s"),
+    ({"rtl": {"adapter": "real", "timeout_s": -1}}, "timeout_s"),
+    ({"synthesis": {"timeout_s": True}}, "timeout_s"),
+])
+def test_validate_config_checks_physical_and_timeouts(tmp_path, stage_cfgs, match):
+    cfg = make_config(tmp_path, [_pass()], stages=stage_cfgs)
+    with pytest.raises(ConfigInvalid, match=match):
+        validate_config(cfg)
+
+
+def test_validate_config_accepts_physical_command_and_timeouts(tmp_path):
+    validate_config(make_config(tmp_path, [_pass()], stages={
+        "physical": {"command": "true", "timeout_s": 0.5},
+        "synthesis": {"timeout_s": 30}}))
+    validate_config(make_config(tmp_path, [_pass()], stages={"physical": {}}))
+
+
 def test_invalid_config_rejected_before_any_side_effect(tmp_path):
     work = tmp_path / "never_created"
     cfg = {"workdir": str(work), "stages": {"rtl": {"adapter": "bogus"}}}
