@@ -414,17 +414,14 @@ def validate_config(config: dict) -> None:
     unknown = set(stages) - set(STAGES)
     if unknown:
         raise ConfigInvalid(f"unknown stages: {sorted(unknown)}")
-    if isinstance(stages.get("architecture"), dict):
-        dse_thresholds(stages["architecture"].get("dse"))
-    for name in ("rtl", "synthesis", "physical"):
-        if name not in stages:
-            continue
-        sc = stages[name]
+    for name, sc in stages.items():
         if not isinstance(sc, dict):
             raise ConfigInvalid(f"{name} stage must be an object")
-        timeout = sc.get("timeout_s", 1)
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) \
-                or not timeout > 0:
+        if name == "architecture":
+            dse_thresholds(sc.get("dse"))
+            continue
+        timeout = sc.get("timeout_s", 1)  # type(), not isinstance(): rejects True
+        if type(timeout) not in (int, float) or not timeout > 0:
             raise ConfigInvalid(f"{name} timeout_s must be a positive number")
         if name == "physical":
             if "command" in sc and not (isinstance(sc["command"], str) and sc["command"]):

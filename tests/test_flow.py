@@ -100,6 +100,7 @@ def test_validate_config_rejects_unknown_dse_threshold(tmp_path):
 
 
 @pytest.mark.parametrize("stage_cfgs, match", [
+    ({"architecture": None}, "must be an object"),
     ({"physical": None}, "must be an object"),
     ({"physical": "sleep 1"}, "must be an object"),
     ({"physical": {"command": ""}}, "nonempty string"),
