@@ -187,7 +187,7 @@ def test_timeout_kills_the_tool_process_group(tmp_path):
 
 def test_interrupt_kills_the_tool_process_group(tmp_path, monkeypatch):
     def interrupted(self, timeout=None):
-        time.sleep(0.2)
+        time.sleep(0.2)  # lets the shell start its background child
         raise KeyboardInterrupt
 
     monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
