@@ -120,25 +120,16 @@ class ActionRecord:
 
 @dataclass
 class FlowState:
-    current_stage: str = "architecture"
+    """What resume reads; artifact contents live only in the workdir."""
     statuses: dict = field(
         default_factory=lambda: {s: "pending" for s in STAGES})
-    artifacts: dict = field(default_factory=dict)   # digest -> content
     paths: dict = field(default_factory=dict)       # rel path -> digest
     history: list = field(default_factory=list)     # ActionRecords
     pending_proposal: Proposal | None = None        # carried Revise payload
 
-    def store(self, rel_path: str, content: str) -> str:
-        d = _digest(content)
-        self.artifacts[d] = content
-        self.paths[rel_path] = d
-        return d
-
     def as_dict(self) -> dict:
         return {
-            "current_stage": self.current_stage,
             "statuses": self.statuses,
-            "artifacts": self.artifacts,
             "paths": self.paths,
             "history": [r.as_dict() for r in self.history],
             "pending_proposal": (
@@ -148,9 +139,7 @@ class FlowState:
     @classmethod
     def from_dict(cls, d: dict) -> "FlowState":
         st = cls(
-            current_stage=d["current_stage"],
             statuses=dict(d["statuses"]),
-            artifacts=dict(d["artifacts"]),
             paths=dict(d["paths"]),
             history=[ActionRecord.from_dict(r) for r in d["history"]],
         )
@@ -331,12 +320,12 @@ def _safe_join(root: Path, rel: str) -> Path:
     return target
 
 
-def _apply_writes(state: FlowState, workdir: Path, proposal: Proposal) -> None:
-    for rel, content in proposal.writes.items():
-        path = _safe_join(workdir, rel)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content)
-        state.store(rel, content)
+def _write_artifact(state: FlowState, workdir: Path, rel: str, content: str) -> None:
+    """The one way an artifact is written: a workdir file plus its digest."""
+    path = _safe_join(workdir, rel)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(content, encoding="utf-8")
+    state.paths[rel] = _digest(content)
 
 
 def run_stage(
@@ -365,7 +354,8 @@ def run_stage(
         }
         if proposal is None:
             proposal = reasoner.propose(context)
-        _apply_writes(state, workdir, proposal)
+        for rel, content in proposal.writes.items():
+            _write_artifact(state, workdir, rel, content)
         report = adapter(proposal, workdir)
         verdict = reasoner.reflect(context, report)
         state.history.append(ActionRecord(
@@ -506,17 +496,15 @@ def _run_architecture(state: FlowState, config: dict, workdir: Path) -> None:
     state.statuses["architecture"] = "running"
     t0 = time.monotonic()
     try:
-        report = run_dse(acfg.get("corpus"), acfg.get("dse"))
+        report, ok = run_dse(acfg.get("corpus"), acfg.get("dse")), True
     except DseStageError as exc:
-        state.store("dse_report.json", exc.report.to_json())
-        _record_once(state, "architecture", "run_dse", exc.report.to_json(), False, t0)
-        return
-    point_json = json.dumps(report.chosen_point.as_dict(),
-                            indent=2, sort_keys=True) + "\n"
-    (workdir / "design_point.json").write_text(point_json)
-    state.store("design_point.json", point_json)
-    state.store("dse_report.json", report.to_json())
-    _record_once(state, "architecture", "run_dse", report.to_json(), True, t0)
+        report, ok = exc.report, False
+    if ok:
+        _write_artifact(state, workdir, "design_point.json", json.dumps(
+            report.chosen_point.as_dict(), indent=2, sort_keys=True) + "\n")
+    report_json = report.to_json()
+    _write_artifact(state, workdir, "dse_report.json", report_json)
+    _record_once(state, "architecture", "run_dse", report_json, ok, t0)
 
 
 def _run_physical(state: FlowState, pcfg: dict, workdir: Path) -> None:
@@ -577,7 +565,6 @@ def _run_stages(order, state, config, stages_cfg, workdir, after_record) -> None
     for stage in order:
         if state.statuses[stage] in ("passed", "skipped"):
             continue
-        state.current_stage = stage
         if stage == "architecture":
             _run_architecture(state, config, workdir)
             after_record(state)
@@ -634,11 +621,13 @@ def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
 def load_checkpoint(path: str | Path, config: dict) -> FlowState:
     try:
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise CheckpointCorrupt("checkpoint is not a JSON object")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise CheckpointCorrupt(
                 f"unsupported schema_version {doc.get('schema_version')}")
         if doc["config_hash"] != _config_hash(config):
             raise ConfigMismatch("checkpoint was produced under a different config")
         return FlowState.from_dict(doc["state"])
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:
         raise CheckpointCorrupt(f"unreadable checkpoint: {exc}") from exc

@@ -234,14 +234,8 @@ def _twiddle(n: int, exps: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * exps / n)
 
 
-def _fft_float(re: np.ndarray, im: np.ndarray, n_total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radix-2^2 DIF recursion on (frames, N) arrays, double precision."""
-    x = re + 1j * im
-    out = _fft_r22_complex(x)
-    return out.real, out.imag
-
-
 def _fft_r22_complex(x: np.ndarray) -> np.ndarray:
+    """Radix-2^2 DIF recursion on (frames, N) arrays, double precision."""
     n = x.shape[1]
     if n == 1:
         return x
@@ -351,7 +345,8 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     if n not in ALLOWED_FFT_SIZES:
         raise InvalidSize(f"fft size must be one of {ALLOWED_FFT_SIZES}, got {n}")
     if cfg.mode == "float":
-        return _fft_float(frames_re, frames_im, n)
+        out = _fft_r22_complex(frames_re + 1j * frames_im)
+        return out.real, out.imag
     return _fft_r22_fixed(
         np.asarray(frames_re, dtype=np.int64),
         np.asarray(frames_im, dtype=np.int64),

@@ -1,5 +1,6 @@
 """Feedback-loop orchestrator: stage loop, checkpointing, reasoners."""
 
+import hashlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -295,11 +296,76 @@ def test_checkpoint_config_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ck.json", other)
 
 
-def test_checkpoint_corrupt(tmp_path):
-    (tmp_path / "ck.json").write_text("{ truncated")
+@pytest.mark.parametrize("text, state", [
+    ("{ truncated", None),
+    ("[]", None),
+    ('"x"', None),
+    (None, {"statuses": "ab"}),
+    (None, {"pending_proposal": "x"}),
+], ids=["truncated", "list", "string", "statuses_string", "proposal_string"])
+def test_checkpoint_corrupt(tmp_path, text, state):
     cfg = make_config(tmp_path, [_pass()])
+    if text is None:
+        # a well-formed state in the earlier writer's shape, one field broken
+        state = dict(FlowState().as_dict(), current_stage="rtl", artifacts={}, **state)
+        text = json.dumps({"schema_version": flow.SCHEMA_VERSION,
+                           "config_hash": flow._config_hash(cfg), "state": state})
+    (tmp_path / "ck.json").write_text(text)
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(tmp_path / "ck.json", cfg)
+
+
+def _revise_one_file(cfg, n):
+    """Script n distinct revisions of rtl/top.v; returns their texts."""
+    revisions = [f"// revision {i}\nmodule top; endmodule\n" for i in range(n)]
+    Path(cfg["reasoner"]["script"]).write_text(json.dumps(
+        {"rtl": [{"writes": {"rtl/top.v": text}} for text in revisions]}))
+    return revisions
+
+
+def test_checkpoint_holds_digests_not_artifact_text(tmp_path):
+    cfg = make_config(tmp_path, [_fail("a"), _fail("b"), _pass()])
+    revisions = _revise_one_file(cfg, 3)
+    ck = tmp_path / "ck.json"
+    run_flow(cfg, checkpoint_path=ck)
+    text = ck.read_text()
+    state = json.loads(text)["state"]
+    assert set(state) == {"statuses", "paths", "history", "pending_proposal"}
+    assert state["paths"]["rtl/top.v"] == flow._digest(revisions[-1])
+    work = Path(cfg["workdir"])
+    for content in revisions + [(work / rel).read_text() for rel in state["paths"]]:
+        assert json.dumps(content) not in text
+
+
+def test_every_artifact_is_a_workdir_file_with_its_digest(tmp_path):
+    cfg = make_config(tmp_path, [_fail("a"), _pass()])
+    _revise_one_file(cfg, 2)
+    result = run_flow(cfg)
+    assert result.overall == "success"
+    assert {"design_point.json", "dse_report.json", "rtl/top.v"} <= set(result.artifacts)
+    work = Path(cfg["workdir"])
+    for rel, digest in result.artifacts.items():
+        assert hashlib.sha256((work / rel).read_bytes()).hexdigest() == digest
+
+
+def test_resume_from_checkpoint_with_legacy_keys(tmp_path):
+    scenario = [_fail("a"), _fail("b"), _pass()]
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    full = run_flow(make_config(ref, scenario)).to_json()
+    cfg = make_config(tmp_path, scenario)
+    ck = tmp_path / "ck.json"
+    run_flow(cfg, checkpoint_path=ck, stop_after=2)
+    # the earlier writer also kept the running stage and every artifact's text
+    doc = json.loads(ck.read_text())
+    work = Path(cfg["workdir"])
+    doc["state"]["current_stage"] = "rtl"
+    doc["state"]["artifacts"] = {
+        digest: (work / rel).read_text() for rel, digest in doc["state"]["paths"].items()}
+    ck.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    assert resume_flow(cfg, ck).to_json() == full
+    assert set(json.loads(ck.read_text())["state"]) == {
+        "statuses", "paths", "history", "pending_proposal"}
 
 
 def test_crash_mid_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
