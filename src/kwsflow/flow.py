@@ -324,7 +324,10 @@ def _write_artifact(state: FlowState, workdir: Path, rel: str, content: str) -> 
     """The one way an artifact is written: a workdir file plus its digest."""
     path = _safe_join(workdir, rel)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
+    # written over in place, then cut to length: ext4 flushes a file truncated to zero
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+        f.write(content)
+        f.truncate()
     state.paths[rel] = _digest(content)
 
 
@@ -610,17 +613,23 @@ def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
         "config_hash": _config_hash(config),
         "state": state.as_dict(),
     }
-    # a crash mid-write leaves the previous checkpoint in place; rename is
-    # atomic within a directory (no fsync: this guards against a crashed
-    # process, not against power loss)
+    # A crash leaves a whole checkpoint at path, or, between the unlink and
+    # the rename, at <path>.tmp, which load_checkpoint reads when path is
+    # missing.  Renaming over the old file would make ext4 start writeback
+    # of every checkpoint.  No fsync: this guards against a crashed
+    # process, not against power loss.
     tmp = Path(f"{path}.tmp")
     tmp.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    Path(path).unlink(missing_ok=True)
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path, config: dict) -> FlowState:
+    ck = Path(path)
+    if not ck.exists() and Path(f"{path}.tmp").exists():
+        ck = Path(f"{path}.tmp")  # a save stopped before its rename
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(ck.read_text())
         if not isinstance(doc, dict):
             raise CheckpointCorrupt("checkpoint is not a JSON object")
         if doc.get("schema_version") != SCHEMA_VERSION:

@@ -348,6 +348,16 @@ def test_every_artifact_is_a_workdir_file_with_its_digest(tmp_path):
         assert hashlib.sha256((work / rel).read_bytes()).hexdigest() == digest
 
 
+def test_shorter_revision_leaves_no_stale_tail(tmp_path):
+    cfg = make_config(tmp_path, [_fail("a"), _pass()])
+    long, short = "// long revision\n" * 8, "// short\n"
+    Path(cfg["reasoner"]["script"]).write_text(json.dumps(
+        {"rtl": [{"writes": {"rtl/top.v": long}}, {"writes": {"rtl/top.v": short}}]}))
+    result = run_flow(cfg)
+    assert (Path(cfg["workdir"]) / "rtl/top.v").read_text() == short
+    assert result.artifacts["rtl/top.v"] == flow._digest(short)
+
+
 def test_resume_from_checkpoint_with_legacy_keys(tmp_path):
     scenario = [_fail("a"), _fail("b"), _pass()]
     ref = tmp_path / "ref"
@@ -385,6 +395,27 @@ def test_crash_mid_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch
     monkeypatch.undo()
     assert len(load_checkpoint(ck, cfg).history) == 2
     assert resume_flow(cfg, ck).to_json() == full
+
+
+def test_crash_before_checkpoint_rename_resumes_from_tmp(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, [_fail("a"), _fail("b"), _pass()])
+    full = run_flow(cfg).to_json()
+    ck = tmp_path / "ck.json"
+    run_flow(cfg, checkpoint_path=ck, stop_after=1)
+    state = load_checkpoint(ck, cfg)
+    run_flow(cfg, checkpoint_path=ck, stop_after=2)
+
+    def crash(*args):
+        raise OSError("crash before rename")
+
+    monkeypatch.setattr(flow.os, "replace", crash)
+    with pytest.raises(OSError, match="crash before rename"):
+        save_checkpoint(state, cfg, ck)
+    monkeypatch.undo()
+    assert not ck.exists()
+    assert len(load_checkpoint(ck, cfg).history) == 1
+    assert resume_flow(cfg, ck).to_json() == full
+    assert ck.exists() and not Path(f"{ck}.tmp").exists()
 
 
 def test_resume_is_byte_identical_at_every_boundary(tmp_path):
