@@ -39,6 +39,7 @@ from .toolchain import (
 
 SCHEMA_VERSION = 1
 STAGES = ("architecture", "rtl", "synthesis", "physical")
+STATUSES = ("pending", "running", "passed", "failed", "skipped")
 HISTORY_WINDOW = 4  # records shown to the reasoner
 
 
@@ -314,15 +315,27 @@ class RemoteReasoner:
 # ---------------------------------------------------------------------------
 
 def _safe_join(root: Path, rel: str) -> Path:
-    target = (root / rel).resolve()
-    if not str(target).startswith(str(root.resolve()) + os.sep):
+    """root / rel, refused unless it lies inside root (already resolved).
+
+    Only a ".." or a symlink among rel's components can take a path that
+    starts with root outside it, so the path is resolved only then.
+    """
+    target = root / rel
+    path = root
+    for part in Path(rel).parts:
+        path = path / part
+        if part == ".." or path.is_symlink():
+            target = target.resolve()
+            break
+    if not str(target).startswith(str(root) + os.sep):
         raise ConfigInvalid(f"write escapes the workspace: {rel}")
     return target
 
 
-def _write_artifact(state: FlowState, workdir: Path, rel: str, content: str) -> None:
-    """The one way an artifact is written: a workdir file plus its digest."""
-    path = _safe_join(workdir, rel)
+def _write_artifact(state: FlowState, root: Path, rel: str, content: str) -> None:
+    """The one way an artifact is written: a file under root, the resolved
+    workdir, plus its digest."""
+    path = _safe_join(root, rel)
     path.parent.mkdir(parents=True, exist_ok=True)
     # written over in place, then cut to length: ext4 flushes a file truncated to zero
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
@@ -344,6 +357,7 @@ def run_stage(
     if budget < 1:
         raise ConfigInvalid("stage budget must be >= 1")
     state.statuses[stage] = "running"
+    root = Path(workdir).resolve()
     proposal = state.pending_proposal
     start = len([r for r in state.history if r.stage == stage])
     for iteration in range(start, budget):
@@ -358,7 +372,7 @@ def run_stage(
         if proposal is None:
             proposal = reasoner.propose(context)
         for rel, content in proposal.writes.items():
-            _write_artifact(state, workdir, rel, content)
+            _write_artifact(state, root, rel, content)
         report = adapter(proposal, workdir)
         verdict = reasoner.reflect(context, report)
         state.history.append(ActionRecord(
@@ -502,11 +516,12 @@ def _run_architecture(state: FlowState, config: dict, workdir: Path) -> None:
         report, ok = run_dse(acfg.get("corpus"), acfg.get("dse")), True
     except DseStageError as exc:
         report, ok = exc.report, False
+    root = workdir.resolve()
     if ok:
-        _write_artifact(state, workdir, "design_point.json", json.dumps(
+        _write_artifact(state, root, "design_point.json", json.dumps(
             report.chosen_point.as_dict(), indent=2, sort_keys=True) + "\n")
     report_json = report.to_json()
-    _write_artifact(state, workdir, "dse_report.json", report_json)
+    _write_artifact(state, root, "dse_report.json", report_json)
     _record_once(state, "architecture", "run_dse", report_json, ok, t0)
 
 
@@ -637,6 +652,11 @@ def load_checkpoint(path: str | Path, config: dict) -> FlowState:
                 f"unsupported schema_version {doc.get('schema_version')}")
         if doc["config_hash"] != _config_hash(config):
             raise ConfigMismatch("checkpoint was produced under a different config")
-        return FlowState.from_dict(doc["state"])
+        state = FlowState.from_dict(doc["state"])
     except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:
         raise CheckpointCorrupt(f"unreadable checkpoint: {exc}") from exc
+    if set(STAGES) - state.statuses.keys() or any(
+            v not in STATUSES for v in state.statuses.values()):
+        raise CheckpointCorrupt(f"checkpoint statuses need one of {STATUSES} "
+                                f"for every stage in {STAGES}: {state.statuses}")
+    return state

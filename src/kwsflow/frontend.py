@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -55,7 +56,7 @@ MEL_BREAK_HZ = 700.0
 # MSB-plus-interpolated-fraction scheme, enough integer range for any
 # energy format used here.
 LOG_FORMAT = QFormat(12, 4)
-_LOG_LUT = [math.log2(1 + i / 16) for i in range(17)]
+_LOG_LUT = np.array([math.log2(1 + i / 16) for i in range(17)])
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,7 @@ def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     hop = cfg.frame_hop
     if len(samples) < n:
         raise SignalTooShort(f"need at least {n} samples, got {len(samples)}")
-    starts = range(0, len(samples) - n + 1, hop)
-    frames = np.stack([samples[s : s + n] for s in starts])
+    frames = np.lib.stride_tricks.sliding_window_view(samples, n)[::hop]
     spec = window_coefficients(n, cfg.window_policy, cfg.bit_width)
     if cfg.mode == "float":
         return frames * spec.values
@@ -277,61 +277,107 @@ def _cmul_fixed(
 
 
 def _half(v: np.ndarray) -> np.ndarray:
-    return rshift_round_even_array(v, 1)
+    """rshift_round_even_array(v, 1): a tie (odd v) rounds to the even neighbour."""
+    q = v >> 1
+    return q + (v & q & 1)
+
+
+def _stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i):
+    """Second butterfly stage (span m/4) with -j on the cross branch, halved.
+
+    Yields the blocks u0, u2, u1, u3, which take twiddle exponents 0, 1,
+    2, 3, one at a time, so that only one is alive beside the level's
+    output.
+    """
+    yield _half(t0r + t1r), _half(t0i + t1i)
+    yield _half(t2r + t3i), _half(t2i - t3r)  # (t2) - j*(t3)
+    yield _half(t0r - t1r), _half(t0i - t1i)
+    yield _half(t2r - t3i), _half(t2i + t3r)  # (t2) + j*(t3)
+
+
+@lru_cache(maxsize=None)
+def _twiddle_rom(m: int, fmt: QFormat) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Twiddle ROM of one size-m level, for its three rotated branches.
+
+    Each branch gets (w_re, w_im, wr_i, wi_i, trivial) as (m/4, 1)
+    columns: the quantized coefficients, the integer rotation of each
+    trivial twiddle (1, -1, +-j) and the mask of trivial twiddles.
+    """
+    idx = np.arange(m // 4)
+    rom = []
+    for mult in (1, 2, 3):
+        w = _twiddle(m, mult * idx)
+        wr_i = np.rint(w.real).astype(np.int64)
+        wi_i = np.rint(w.imag).astype(np.int64)
+        trivial = (np.abs(w.real - wr_i) < 1e-12) & (np.abs(w.imag - wi_i) < 1e-12)
+        cols = (quantize_array(w.real, fmt), quantize_array(w.imag, fmt), wr_i, wi_i, trivial)
+        for col in cols:
+            col.setflags(write=False)
+        rom.append(tuple(col[:, np.newaxis] for col in cols))
+    return tuple(rom)
+
+
+@lru_cache(maxsize=None)
+def _bin_order(n: int) -> np.ndarray:
+    """Row of the level loop's output that holds each natural-order bin.
+
+    Level i splits each block into four (two in the trailing radix-2
+    stage), and sub-block r_i feeds every fourth bin of its block from
+    bin r_i on: bin r1 + 4 r2 + 16 r3 + ... sits in row ((r1 4 + r2) 4
+    + r3) ..., a mixed-radix digit reversal.
+    """
+    log2n = n.bit_length() - 1
+    order = np.arange(n).reshape((4,) * (log2n // 2) + (2,) * (log2n % 2)).T.ravel()
+    order.setflags(write=False)
+    return order
 
 
 def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-accurate radix-2^2 recursion; every stage output halved."""
-    n = re.shape[1]
-    if n == 1:
-        return re, im
-    if n == 2:
-        s_re = np.stack([_half(re[:, 0] + re[:, 1]), _half(re[:, 0] - re[:, 1])], axis=1)
-        s_im = np.stack([_half(im[:, 0] + im[:, 1]), _half(im[:, 0] - im[:, 1])], axis=1)
-        return saturate_array(s_re, fmt), saturate_array(s_im, fmt)
-    q = n // 4
-    idx = np.arange(q)
+    """Bit-accurate radix-2^2 DIF over (frames, N), level by level.
 
-    def part(v: np.ndarray) -> tuple[np.ndarray, ...]:
-        return v[:, idx], v[:, idx + q], v[:, idx + 2 * q], v[:, idx + 3 * q]
-
-    ar, br, cr, dr = part(re)
-    ai, bi, ci, di = part(im)
-    # stage 1 (span N/2), halved
-    t0r, t0i = _half(ar + cr), _half(ai + ci)
-    t1r, t1i = _half(br + dr), _half(bi + di)
-    t2r, t2i = _half(ar - cr), _half(ai - ci)
-    t3r, t3i = _half(br - dr), _half(bi - di)
-    # stage 2 (span N/4) with -j on the cross branch, halved
-    u0r, u0i = _half(t0r + t1r), _half(t0i + t1i)
-    u1r, u1i = _half(t0r - t1r), _half(t0i - t1i)
-    u2r, u2i = _half(t2r + t3i), _half(t2i - t3r)  # (t2) - j*(t3)
-    u3r, u3i = _half(t2r - t3i), _half(t2i + t3r)  # (t2) + j*(t3)
-    branches = []
-    for (vr, vi), mult in (((u0r, u0i), 0), ((u2r, u2i), 1), ((u1r, u1i), 2), ((u3r, u3i), 3)):
-        vr, vi = saturate_array(vr, fmt), saturate_array(vi, fmt)
-        if mult:
-            w = _twiddle(n, mult * idx)
-            # trivial rotations (1, -1, +-j) bypass the multiplier, as in
-            # the hardware; only true twiddles go through the rounded
-            # complex multiply with ROM coefficients
-            wr_i = np.rint(w.real).astype(np.int64)
-            wi_i = np.rint(w.imag).astype(np.int64)
-            trivial = (np.abs(w.real - wr_i) < 1e-12) & (np.abs(w.imag - wi_i) < 1e-12)
-            w_re = quantize_array(w.real, fmt)[np.newaxis, :]
-            w_im = quantize_array(w.imag, fmt)[np.newaxis, :]
-            mr, mi = _cmul_fixed(vr, vi, w_re, w_im, fmt)
-            tr = vr * wr_i[np.newaxis, :] - vi * wi_i[np.newaxis, :]
-            ti = vr * wi_i[np.newaxis, :] + vi * wr_i[np.newaxis, :]
-            vr = np.where(trivial[np.newaxis, :], tr, mr)
-            vi = np.where(trivial[np.newaxis, :], ti, mi)
-        branches.append(_fft_r22_fixed(vr, vi, fmt))
-    out_re = np.empty_like(re)
-    out_im = np.empty_like(im)
-    for r, (sr_, si_) in enumerate(branches):
-        out_re[:, r::4] = sr_
-        out_im[:, r::4] = si_
-    return out_re, out_im
+    Every stage output is halved.  Blocks are held as (blocks, m, frames)
+    so each butterfly runs on whole rows of frames; a size-m level turns
+    each block into four size-m/4 blocks, so bins come out digit-reversed
+    and one permutation per N restores natural order.
+    """
+    n, n_frames = re.shape[1], re.shape[0]
+    xr = np.ascontiguousarray(re.T).reshape(1, n, n_frames)
+    xi = np.ascontiguousarray(im.T).reshape(1, n, n_frames)
+    m = n
+    while m >= 4:
+        q = m // 4
+        ar, br, cr, dr = (xr[:, k * q : (k + 1) * q] for k in range(4))
+        ai, bi, ci, di = (xi[:, k * q : (k + 1) * q] for k in range(4))
+        # stage 1 (span m/2), halved
+        t0r, t0i = _half(ar + cr), _half(ai + ci)
+        t1r, t1i = _half(br + dr), _half(bi + di)
+        t2r, t2i = _half(ar - cr), _half(ai - ci)
+        t3r, t3i = _half(br - dr), _half(bi - di)
+        out_re = np.empty((xr.shape[0], 4, q, n_frames), dtype=np.int64)
+        out_im = np.empty_like(out_re)
+        for b, (vr, vi) in enumerate(_stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i)):
+            vr, vi = saturate_array(vr, fmt), saturate_array(vi, fmt)
+            if b:
+                # trivial rotations (1, -1, +-j) bypass the multiplier, as
+                # in the hardware; only true twiddles go through the
+                # rounded complex multiply with ROM coefficients
+                w_re, w_im, wr_i, wi_i, trivial = _twiddle_rom(m, fmt)[b - 1]
+                tr, ti = vr * wr_i - vi * wi_i, vr * wi_i + vi * wr_i
+                if trivial.all():
+                    vr, vi = tr, ti
+                else:
+                    mr, mi = _cmul_fixed(vr, vi, w_re, w_im, fmt)
+                    vr, vi = np.where(trivial, tr, mr), np.where(trivial, ti, mi)
+            out_re[:, b], out_im[:, b] = vr, vi
+        xr, xi = out_re.reshape(-1, q, n_frames), out_im.reshape(-1, q, n_frames)
+        m = q
+    if m == 2:  # trailing radix-2 stage when log2(N) is odd
+        xr = saturate_array(np.stack([_half(xr[:, 0] + xr[:, 1]),
+                                      _half(xr[:, 0] - xr[:, 1])], axis=1), fmt)
+        xi = saturate_array(np.stack([_half(xi[:, 0] + xi[:, 1]),
+                                      _half(xi[:, 0] - xi[:, 1])], axis=1), fmt)
+    order = _bin_order(n)
+    return xr.reshape(n, n_frames)[order].T, xi.reshape(n, n_frames)[order].T
 
 
 def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -469,16 +515,15 @@ def log_compress(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
         return np.log2(np.maximum(energies, eps))
     efmt = cfg.energy_format
     floor_raw = max(1, int(round(eps * (1 << efmt.frac_bits))))
-    flat = np.maximum(energies.reshape(-1), floor_raw)
-    out = np.empty(flat.shape, dtype=np.float64)
-    for i, e in enumerate(flat):
-        msb = int(e).bit_length() - 1
-        t = (int(e) - (1 << msb)) / (1 << msb)
-        seg = min(int(t * 16), 15)
-        fracpos = t * 16 - seg
-        val = msb + _LOG_LUT[seg] + (_LOG_LUT[seg + 1] - _LOG_LUT[seg]) * fracpos
-        out[i] = val
-    out = out.reshape(energies.shape) - efmt.frac_bits
+    e = np.maximum(np.asarray(energies, dtype=np.int64), floor_raw)
+    # frexp is exact on integers below 2^53: e = mant * 2^exp, mant in [0.5, 1)
+    msb = np.frexp(e.astype(np.float64))[1].astype(np.int64) - 1
+    lead = np.left_shift(1, msb)
+    t = (e - lead) / lead
+    seg = np.minimum((t * 16).astype(np.int64), 15)
+    fracpos = t * 16 - seg
+    lo = _LOG_LUT[seg]
+    out = msb + lo + (_LOG_LUT[seg + 1] - lo) * fracpos - efmt.frac_bits
     return quantize_array(out, LOG_FORMAT)
 
 
@@ -486,6 +531,13 @@ def _dct_matrix(n_in: int, n_out: int) -> np.ndarray:
     k = np.arange(n_out)[:, np.newaxis]
     n = np.arange(n_in)[np.newaxis, :]
     return np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
+
+
+@lru_cache(maxsize=None)
+def _dct_csd(n_mel: int, n_mfcc: int, bit_width: int) -> tuple[tuple[ShiftAddApprox, ...], ...]:
+    """Two-term CSD form of each DCT-II cosine, [k][n]; built once per config."""
+    mat = _dct_matrix(n_mel, n_mfcc)
+    return tuple(tuple(approx_csd(c, 2, bit_width - 1) for c in row) for row in mat)
 
 
 def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -498,17 +550,15 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {cfg.n_mel} log energies, got {log_energies.shape[1]}"
         )
-    mat = _dct_matrix(cfg.n_mel, cfg.n_mfcc)
     if cfg.mode == "float":
-        return log_energies @ mat.T
+        return log_energies @ _dct_matrix(cfg.n_mel, cfg.n_mfcc).T
     acc_fmt = QFormat(min(32, LOG_FORMAT.total_bits + 4), LOG_FORMAT.frac_bits)
     out = np.zeros((log_energies.shape[0], cfg.n_mfcc), dtype=np.int64)
-    for k in range(cfg.n_mfcc):
+    for k, row in enumerate(_dct_csd(cfg.n_mel, cfg.n_mfcc, cfg.bit_width)):
         acc = np.zeros(log_energies.shape[0], dtype=np.int64)
-        for n in range(cfg.n_mel):
+        for n, approx in enumerate(row):
             # a two-term product of a 12-bit log value fits acc_fmt, so
             # saturating it first leaves the sum bit-identical
-            approx = approx_csd(mat[k, n], 2, cfg.bit_width - 1)
             acc = saturate_array(
                 acc + shift_add_raw_array(log_energies[:, n], approx, acc_fmt), acc_fmt)
         out[:, k] = acc

@@ -167,6 +167,35 @@ def test_path_traversal_in_writes_rejected(tmp_path):
     assert not (tmp_path / "escape.v").exists()
 
 
+@pytest.mark.parametrize("rel", ["out/escape.v", "top.v"], ids=["dir_link", "file_link"])
+def test_write_through_symlink_out_of_workdir_rejected(tmp_path, rel):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "top.v").write_text("// outside\n")
+    cfg = make_config(tmp_path, [_pass()])
+    work = Path(cfg["workdir"])
+    work.mkdir()
+    (work / "out").symlink_to(outside, target_is_directory=True)
+    (work / "top.v").symlink_to(outside / "top.v")
+    (tmp_path / "script.json").write_text(json.dumps(
+        {"rtl": [{"writes": {rel: "x"}, "params": {}, "rationale": ""}]}))
+    with pytest.raises(ConfigInvalid, match="escapes the workspace"):
+        run_flow(cfg)
+    assert sorted(p.name for p in outside.iterdir()) == ["top.v"]
+    assert (outside / "top.v").read_text() == "// outside\n"
+
+
+def test_write_through_symlink_inside_workdir_allowed(tmp_path):
+    cfg = make_config(tmp_path, [_pass()])
+    work = Path(cfg["workdir"])
+    (work / "real").mkdir(parents=True)
+    (work / "link").symlink_to(work / "real", target_is_directory=True)
+    (tmp_path / "script.json").write_text(json.dumps(
+        {"rtl": [{"writes": {"link/top.v": "y"}, "params": {}, "rationale": ""}]}))
+    assert run_flow(cfg).statuses["rtl"] == "passed"
+    assert (work / "real" / "top.v").read_text() == "y"
+
+
 # ------------------------------------------------------------- scripted loop
 
 
@@ -302,7 +331,13 @@ def test_checkpoint_config_mismatch(tmp_path):
     ('"x"', None),
     (None, {"statuses": "ab"}),
     (None, {"pending_proposal": "x"}),
-], ids=["truncated", "list", "string", "statuses_string", "proposal_string"])
+    # resume reads a status for every stage and runs any not passed or skipped
+    (None, {"statuses": {"architecture": "passed", "synthesis": "pending",
+                         "physical": "pending"}}),
+    (None, {"statuses": {"architecture": "passed", "rtl": "bogus",
+                         "synthesis": "pending", "physical": "pending"}}),
+], ids=["truncated", "list", "string", "statuses_string", "proposal_string",
+        "statuses_missing_stage", "statuses_unknown_value"])
 def test_checkpoint_corrupt(tmp_path, text, state):
     cfg = make_config(tmp_path, [_pass()])
     if text is None:
