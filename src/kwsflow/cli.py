@@ -82,21 +82,11 @@ def _cmd_compare(args) -> int:
     cfg_fl = _load_pipeline_config(args.config, "float")
     rx = mfcc_pipeline(buf, cfg_fx)
     rf = mfcc_pipeline(buf, cfg_fl)
-    stats = {
-        "post_fft": {
-            "distance": spectrogram_distance(rx.power, rf.power),
-            "max_abs_error": float(np.max(np.abs(rx.power - rf.power))),
-        },
-        "post_mel": {
-            "distance": spectrogram_distance(rx.log_mel, rf.log_mel),
-            "max_abs_error": float(np.max(np.abs(rx.log_mel - rf.log_mel))),
-        },
-        "post_dct": {
-            "distance": spectrogram_distance(rx.mfcc, rf.mfcc),
-            "max_abs_error": float(np.max(np.abs(rx.mfcc - rf.mfcc))),
-        },
-        "n_frames": int(rx.mfcc.shape[0]),
-    }
+    stats = {"n_frames": int(rx.mfcc.shape[0])}
+    for stage, name in (("post_fft", "power"), ("post_mel", "log_mel"), ("post_dct", "mfcc")):
+        a, b = getattr(rx, name), getattr(rf, name)
+        stats[stage] = {"distance": spectrogram_distance(a, b),
+                        "max_abs_error": float(np.max(np.abs(a - b)))}
     _emit(json.dumps(stats, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

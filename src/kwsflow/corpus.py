@@ -54,10 +54,6 @@ _SIGNALS = (
 )
 
 
-def corpus_names() -> list[str]:
-    return [s["name"] for s in _SIGNALS]
-
-
 def _render(spec: dict, sample_rate: int) -> SignalBuffer:
     n = int(round(spec["n8k"] * sample_rate / 8000))
     t = np.arange(n) / sample_rate

@@ -9,7 +9,7 @@ multiplierless hardware datapath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -236,9 +236,17 @@ def mul_raw_array(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     return saturate_array(rshift_round_even_array(prod, fmt.frac_bits), fmt)
 
 
-def shift_add_raw_array(raw: np.ndarray, a: ShiftAddApprox, fmt: QFormat) -> np.ndarray:
-    """Vectorized apply_shift_add on raw int64 arrays."""
-    acc = np.zeros_like(raw)
-    for sign, shift in a.terms:
-        acc = acc + sign * (raw >> shift)
-    return saturate_array(acc, fmt)
+def shift_add_raw_array(raw: np.ndarray, a: ShiftAddApprox | np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Vectorized apply_shift_add on raw int64 arrays.  a is one constant or an
+    object array of them broadcast against raw; a shorter constant adds 0."""
+    consts = np.asarray(a, dtype=object)
+    depth = max([1] + [len(c.terms) for c in consts.flat])
+    planes = np.array([c.terms + ((0, 0),) * (depth - len(c.terms)) for c in consts.flat],
+                      dtype=raw.dtype).reshape(consts.shape + (depth, 2))
+    acc = raw >> planes[..., 0, 1]
+    acc *= planes[..., 0, 0]
+    for t in range(1, depth):
+        term = raw >> planes[..., t, 1]
+        term *= planes[..., t, 0]
+        acc += term
+    return np.clip(acc, fmt.raw_min, fmt.raw_max, out=acc)

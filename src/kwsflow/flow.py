@@ -69,7 +69,10 @@ class Proposal:
         if not isinstance(writes, dict) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in writes.items()):
             raise SchemaViolation("proposal writes must map paths to text")
-        return cls(writes=dict(writes), params=dict(d.get("params", {})),
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise SchemaViolation("proposal params must be an object")
+        return cls(writes=dict(writes), params=dict(params),
                    rationale=str(d.get("rationale", "")))
 
 
@@ -265,11 +268,14 @@ class RemoteReasoner:
             headers["Authorization"] = f"Bearer {key}"
         req = urllib.request.Request(self.endpoint, data=body, headers=headers)
         with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-            payload = json.loads(resp.read().decode("utf-8"))
+            reply = resp.read()
         try:
-            return payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            content = json.loads(reply.decode("utf-8"))["choices"][0]["message"]["content"]
+        except (UnicodeDecodeError, KeyError, IndexError, TypeError) as exc:
             raise SchemaViolation(f"malformed chat response: {exc}") from exc
+        if not isinstance(content, str):
+            raise SchemaViolation(f"chat content must be text, got {type(content).__name__}")
+        return content
 
     def _round_trip(self, messages: list[dict], parse):
         """parse(payload) of the first reply that parses; schema errors retry."""

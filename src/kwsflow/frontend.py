@@ -17,9 +17,9 @@ total gain of 1/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -88,6 +88,9 @@ class PipelineConfig:
     mode: Mode = "float"
 
     def __post_init__(self) -> None:
+        for name, kind in (("mode", Mode), ("window_policy", WindowPolicy), ("mel_shape", MelShape)):
+            if getattr(self, name) not in get_args(kind):
+                raise ValueError(f"{name} must be one of {get_args(kind)}, got {getattr(self, name)!r}")
         if self.fft_size not in ALLOWED_FFT_SIZES:
             raise InvalidSize(f"fft_size must be one of {ALLOWED_FFT_SIZES}")
         if self.frame_hop == 0:
@@ -96,8 +99,8 @@ class PipelineConfig:
             raise ValueError("frame_hop must be >= 1")
         if self.n_mel > self.fft_size // 2:
             raise TooManyFilters(f"n_mel {self.n_mel} > N/2 = {self.fft_size // 2}")
-        if self.n_mfcc > self.n_mel:
-            raise ValueError("n_mfcc must be <= n_mel")
+        if not 1 <= self.n_mfcc <= self.n_mel:  # so n_mel >= 1 too
+            raise ValueError(f"need 1 <= n_mfcc <= n_mel, got n_mfcc {self.n_mfcc}, n_mel {self.n_mel}")
 
     @property
     def sample_format(self) -> QFormat:
@@ -126,7 +129,6 @@ class PipelineConfig:
 class MelFilterbank:
     weights: np.ndarray  # (n_mel, N/2 + 1)
     edges_hz: np.ndarray  # n_mel + 2 boundary frequencies
-    shape: MelShape
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Slice into full frames at the configured hop and apply the window.
 
     Returns (n_frames, N).  Float mode multiplies by the effective
-    coefficients; fixed mode applies each tap's shift-add network to the
-    raw column (exact taps fall back to a quantized multiply).
+    coefficients; fixed mode applies the bank of per-tap shift-add networks
+    to all frames at once (exact taps fall back to a quantized multiply).
     """
     n = cfg.fft_size
     hop = cfg.frame_hop
@@ -222,12 +224,8 @@ def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
         return frames * spec.values
     fmt = cfg.sample_format
     if cfg.window_policy == "exact":
-        wq = quantize_array(spec.values, fmt)
-        return mul_raw_array(frames, wq[np.newaxis, :], fmt)
-    out = np.zeros_like(frames)
-    for i, approx in enumerate(spec.approxs):
-        out[:, i] = shift_add_raw_array(frames[:, i], approx, fmt)
-    return out
+        return mul_raw_array(frames, quantize_array(spec.values, fmt), fmt)
+    return shift_add_raw_array(frames, np.array(spec.approxs, dtype=object), fmt)
 
 
 def _twiddle(n: int, exps: np.ndarray) -> np.ndarray:
@@ -263,17 +261,6 @@ def _fft_r22_complex(x: np.ndarray) -> np.ndarray:
     out[:, 2::4] = sub2
     out[:, 3::4] = sub3
     return out
-
-
-def _cmul_fixed(
-    re: np.ndarray, im: np.ndarray, w_re: np.ndarray, w_im: np.ndarray, fmt: QFormat
-) -> tuple[np.ndarray, np.ndarray]:
-    rr = re * w_re - im * w_im
-    ii = re * w_im + im * w_re
-    return (
-        saturate_array(rshift_round_even_array(rr, fmt.frac_bits), fmt),
-        saturate_array(rshift_round_even_array(ii, fmt.frac_bits), fmt),
-    )
 
 
 def _half(v: np.ndarray) -> np.ndarray:
@@ -366,8 +353,10 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
                 if trivial.all():
                     vr, vi = tr, ti
                 else:
-                    mr, mi = _cmul_fixed(vr, vi, w_re, w_im, fmt)
-                    vr, vi = np.where(trivial, tr, mr), np.where(trivial, ti, mi)
+                    mr = rshift_round_even_array(vr * w_re - vi * w_im, fmt.frac_bits)
+                    mi = rshift_round_even_array(vr * w_im + vi * w_re, fmt.frac_bits)
+                    vr = np.where(trivial, tr, saturate_array(mr, fmt))
+                    vi = np.where(trivial, ti, saturate_array(mi, fmt))
             out_re[:, b], out_im[:, b] = vr, vi
         xr, xi = out_re.reshape(-1, q, n_frames), out_im.reshape(-1, q, n_frames)
         m = q
@@ -445,8 +434,6 @@ def build_mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
     """
     n = cfg.fft_size
     half = n // 2
-    if cfg.n_mel > half:
-        raise TooManyFilters(f"n_mel {cfg.n_mel} > N/2 = {half}")
     mel_max = mel_map(cfg.sample_rate / 2.0)
     edges_mel = np.linspace(0.0, mel_max, cfg.n_mel + 2)
     edges_hz = np.array([mel_map(m, "to_hz") for m in edges_mel])
@@ -470,37 +457,33 @@ def build_mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
         cuts.append(half + 1)
         for m in range(cfg.n_mel):
             weights[m, cuts[m] : cuts[m + 1]] = 1.0
-    elif cfg.mel_shape == "triangular":
+    else:
         for m in range(cfg.n_mel):
             lo, ctr, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
             rising = (bin_hz >= lo) & (bin_hz < ctr)
             falling = (bin_hz >= ctr) & (bin_hz <= hi)
             weights[m, rising] = (bin_hz[rising] - lo) / (ctr - lo)
             weights[m, falling] = (hi - bin_hz[falling]) / (hi - ctr)
-    else:
-        raise ValueError(f"unknown mel shape: {cfg.mel_shape!r}")
     if not all(w.any() for w in weights):
         raise TooManyFilters("some filters have empty support; reduce n_mel")
-    return MelFilterbank(weights, edges_hz, cfg.mel_shape)
+    return MelFilterbank(weights, edges_hz)
 
 
 def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig) -> np.ndarray:
-    """Per-filter weighted energy sums over a batch of frames."""
+    """Per-filter weighted energy sums over a batch of frames.
+
+    Fixed mode puts every weight on the 2^-16 grid (a rectangular one is
+    exactly 2^16, so its shift is exact), sums the exact products, below
+    2^55 for 129 bins of energy < 2^31, and rounds back by 16 bits.
+    """
     if power_bins.shape[1] != fb.weights.shape[1]:
         raise DimensionMismatch(
             f"{power_bins.shape[1]} power bins vs {fb.weights.shape[1]} filter taps"
         )
     if cfg.mode == "float":
         return power_bins @ fb.weights.T
-    efmt = cfg.energy_format
-    if fb.shape == "rectangular":
-        acc = power_bins @ fb.weights.T.astype(np.int64)
-    else:
-        # triangular weights quantized to the energy format's grid
-        wq = quantize_array(fb.weights, QFormat(18, 16))
-        prod = power_bins[:, np.newaxis, :] * wq[np.newaxis, :, :]
-        acc = rshift_round_even_array(prod.sum(axis=2), 16)
-    return saturate_array(acc, efmt)
+    wq = quantize_array(fb.weights, QFormat(18, 16))
+    return saturate_array(rshift_round_even_array(power_bins @ wq.T, 16), cfg.energy_format)
 
 
 def log_compress(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -534,17 +517,23 @@ def _dct_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _dct_csd(n_mel: int, n_mfcc: int, bit_width: int) -> tuple[tuple[ShiftAddApprox, ...], ...]:
-    """Two-term CSD form of each DCT-II cosine, [k][n]; built once per config."""
-    mat = _dct_matrix(n_mel, n_mfcc)
-    return tuple(tuple(approx_csd(c, 2, bit_width - 1) for c in row) for row in mat)
+def _dct_csd(n_mel: int, n_mfcc: int, bit_width: int) -> np.ndarray:
+    """Two-term CSD form of each DCT-II cosine, (n_mfcc, n_mel); built once per config."""
+    bank = np.array([[approx_csd(c, 2, bit_width - 1) for c in row]
+                     for row in _dct_matrix(n_mel, n_mfcc)], dtype=object)
+    bank.setflags(write=False)
+    return bank
 
 
 def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """DCT-II: c[k] = sum_n x[n] cos(pi k (2n+1) / 2M), k < n_mfcc.
 
-    Fixed mode replaces each cosine with its two-term CSD form and
-    applies it by shifts and adds on the raw log values.
+    Fixed mode takes each product x[n] * cos[k][n] with the two-term CSD
+    form of the cosine, by shifts and adds on the raw log values, then
+    sums the products in order n = 0 .. n_mel - 1, saturating the running
+    sum after each term as a serial 16-bit accumulator does.
+    mfcc_pipeline's log values (-192..112 raw) never saturate it; it is
+    kept so any 12-bit LOG_FORMAT input gets the datapath's bits.
     """
     if log_energies.shape[1] != cfg.n_mel:
         raise DimensionMismatch(
@@ -553,16 +542,15 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     if cfg.mode == "float":
         return log_energies @ _dct_matrix(cfg.n_mel, cfg.n_mfcc).T
     acc_fmt = QFormat(min(32, LOG_FORMAT.total_bits + 4), LOG_FORMAT.frac_bits)
-    out = np.zeros((log_energies.shape[0], cfg.n_mfcc), dtype=np.int64)
-    for k, row in enumerate(_dct_csd(cfg.n_mel, cfg.n_mfcc, cfg.bit_width)):
-        acc = np.zeros(log_energies.shape[0], dtype=np.int64)
-        for n, approx in enumerate(row):
-            # a two-term product of a 12-bit log value fits acc_fmt, so
-            # saturating it first leaves the sum bit-identical
-            acc = saturate_array(
-                acc + shift_add_raw_array(log_energies[:, n], approx, acc_fmt), acc_fmt)
-        out[:, k] = acc
-    return out
+    # (n_mel, n_mfcc, frames); a two-term product of a 12-bit log value
+    # fits acc_fmt, so saturating it first leaves the sum bit-identical
+    bank = _dct_csd(cfg.n_mel, cfg.n_mfcc, cfg.bit_width)
+    prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank.T[:, :, np.newaxis], acc_fmt)
+    acc = np.zeros(prods.shape[1:], dtype=np.int64)
+    for prod in prods:
+        acc += prod
+        np.clip(acc, acc_fmt.raw_min, acc_fmt.raw_max, out=acc)
+    return np.ascontiguousarray(acc.T)
 
 
 def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
@@ -571,36 +559,25 @@ def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
         raise DimensionMismatch(
             f"signal rate {s.sample_rate} != config rate {cfg.sample_rate}; decimate first"
         )
-    pre_cfg = PreemphasisConfig(cfg.preemphasis_k)
-    if cfg.mode == "float":
-        x = preemphasis(s.samples, pre_cfg)
-        frames = frame_and_window(x, cfg)
-        sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
+    fixed = cfg.mode == "fixed"
+    fmt = cfg.sample_format if fixed else None
+    x = quantize_array(s.samples, fmt) if fixed else s.samples
+    x = preemphasis(x, PreemphasisConfig(cfg.preemphasis_k), fmt)
+    frames = frame_and_window(x, cfg)
+    sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
+    if not fixed:
         # normalize by 1/N so both modes share one spectral scale (the
         # fixed datapath's per-stage halving has the same total gain)
         sre, sim = sre / cfg.fft_size, sim / cfg.fft_size
-        power = power_spectrum(sre, sim, cfg)
-        fb = build_mel_filterbank(cfg)
-        energies = mel_energies(power, fb, cfg)
-        log_mel = log_compress(energies, cfg)
-        mfcc = dct_ii(log_mel, cfg)
-        power_real = power
-    else:
-        fmt = cfg.sample_format
-        raw = quantize_array(s.samples, fmt)
-        x = preemphasis(raw, pre_cfg, fmt)
-        frames = frame_and_window(x, cfg)
-        sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
-        power_raw = power_spectrum(sre, sim, cfg)
-        fb = build_mel_filterbank(cfg)
-        energies = mel_energies(power_raw, fb, cfg)
-        log_raw = log_compress(energies, cfg)
-        mfcc_raw = dct_ii(log_raw, cfg)
-        power_real = to_real_array(power_raw, cfg.energy_format)
-        log_mel = to_real_array(log_raw, LOG_FORMAT)
-        mfcc = to_real_array(mfcc_raw, LOG_FORMAT)
+    power = power_spectrum(sre, sim, cfg)
+    log_mel = log_compress(mel_energies(power, build_mel_filterbank(cfg), cfg), cfg)
+    mfcc = dct_ii(log_mel, cfg)
+    if fixed:
+        power = to_real_array(power, cfg.energy_format)
+        log_mel = to_real_array(log_mel, LOG_FORMAT)
+        mfcc = to_real_array(mfcc, LOG_FORMAT)
     frames_out = tuple(MfccFrame(mfcc[i].copy(), i) for i in range(mfcc.shape[0]))
-    return PipelineResult(frames_out, mfcc, log_mel, power_real, cfg)
+    return PipelineResult(frames_out, mfcc, log_mel, power, cfg)
 
 
 def spectrogram_distance(a: np.ndarray, b: np.ndarray) -> float:

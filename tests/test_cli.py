@@ -63,6 +63,16 @@ def test_mfcc_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_mfcc_invalid_pipeline_config_exits_two(tmp_path, capsys):
+    wav = _gen(tmp_path)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "feat.csv"
+    cfg.write_text(json.dumps({"n_mfcc": 0}))
+    code = dispatch(["mfcc", "--in", str(wav), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "n_mfcc" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_reports_distances(tmp_path):
     wav = _gen(tmp_path)
     out = tmp_path / "cmp.json"

@@ -1,4 +1,5 @@
-"""Property tests: the vectorised shift-add kernel against its scalar oracle."""
+"""Property tests: the vectorised shift-add kernel, with one constant or a
+bank of them, against its scalar oracle."""
 
 import numpy as np
 import pytest
@@ -46,6 +47,14 @@ def test_shift_add_raw_array_matches_scalar_oracle(data):
     xs = data.draw(raws(fmt, fmt.raw_min, fmt.raw_max))
     got = shift_add_raw_array(np.array(xs, dtype=np.int64), a, fmt)
     want = [apply_shift_add(FixedValue(x, fmt), a).raw for x in xs]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    # a bank of constants with differing term counts, one per column,
+    # broadcast against the samples as a column
+    bank = data.draw(st.lists(approxs(), min_size=1, max_size=6))
+    got = shift_add_raw_array(np.array(xs, dtype=np.int64)[:, np.newaxis],
+                              np.array(bank, dtype=object), fmt)
+    want = [[apply_shift_add(FixedValue(x, fmt), b).raw for b in bank] for x in xs]
     assert got.dtype == np.int64
     assert got.tolist() == want
 

@@ -477,6 +477,9 @@ def test_resume_is_byte_identical_at_every_boundary(tmp_path):
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
+    """Replies (status, content) in order: content goes into a chat
+    response, except bytes, which are sent as the raw body."""
+
     responses = []
     requests = []
 
@@ -491,7 +494,7 @@ class _CannedHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         status, text = type(self).responses.pop(0)
-        payload = json.dumps(
+        payload = text if isinstance(text, bytes) else json.dumps(
             {"choices": [{"message": {"content": text}}]}
         ).encode()
         self.send_response(status)
@@ -556,6 +559,22 @@ def test_remote_schema_violation_after_retries(canned_server):
     with pytest.raises(SchemaViolation):
         r.propose({"stage": "rtl", "iteration": 0})
     assert len(handler.requests) == 3
+
+
+@pytest.mark.parametrize("reply", [
+    None,
+    ["```json", "{}", "```"],
+    b"\xff\xfe{}",
+    _fenced({"writes": {}, "params": "ab"}),
+    _fenced({"writes": {}, "params": 5}),
+], ids=["content-null", "content-list", "body-not-utf8", "params-str", "params-int"])
+def test_remote_malformed_reply_retries_as_schema_violation(canned_server, reply):
+    url, handler = canned_server
+    r = RemoteReasoner(url, backoff_s=0.01)
+    handler.responses += [(200, reply)] * RemoteReasoner.RETRIES
+    with pytest.raises(SchemaViolation):
+        r.propose({"stage": "rtl", "iteration": 0})
+    assert len(handler.requests) == RemoteReasoner.RETRIES
 
 
 def test_remote_transport_error_after_retries(canned_server):

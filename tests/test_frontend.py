@@ -232,6 +232,15 @@ def test_too_many_filters():
         build_mel_filterbank(PipelineConfig(fft_size=16, n_mel=9))
 
 
+@pytest.mark.parametrize("bad", [
+    {"mode": "foo"}, {"window_policy": "hann"}, {"mel_shape": "gaussian"},
+    {"n_mel": 0}, {"n_mfcc": 0}, {"n_mfcc": -1}, {"n_mel": 4, "n_mfcc": 5},
+])
+def test_config_rejects_unknown_names_and_filter_counts(bad):
+    with pytest.raises(ValueError):
+        PipelineConfig(**bad)
+
+
 def test_mel_energies_shape_and_dimension_check():
     cfg = PipelineConfig()
     fb = build_mel_filterbank(cfg)

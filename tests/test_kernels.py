@@ -1,8 +1,9 @@
 """The vectorised fixed-mode kernels against the loops they replaced.
 
-log_compress's per-element loop and the recursive radix-2^2 FFT are kept
-here, and only here, as the oracles; the library's whole-array log and
-level-by-level FFT must match them bit for bit, saturation included.
+log_compress's per-element loop, the recursive radix-2^2 FFT, the
+per-column window, the per-(k, n) DCT loop and the rectangular/triangular
+mel fork are kept here, and only here, as the oracles; the library's
+whole-array kernels must match them bit for bit, saturation included.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from kwsflow.fixedpoint import (  # noqa: E402
     QFormat,
+    approx_csd,
     mul_raw_array,
     quantize_array,
     rshift_round_even_array,
@@ -27,8 +29,11 @@ from kwsflow.frontend import (  # noqa: E402
     LOG_FORMAT,
     PipelineConfig,
     _fft_r22_fixed,
+    build_mel_filterbank,
+    dct_ii,
     frame_and_window,
     log_compress,
+    mel_energies,
     window_coefficients,
 )
 
@@ -131,6 +136,38 @@ def frame_and_window_stacked(samples, cfg: PipelineConfig):
     return out
 
 
+def dct_ii_loop(log_energies, cfg: PipelineConfig, end_saturation: bool = False):
+    """Fixed-mode DCT, one (k, n) product at a time (the former
+    implementation).  end_saturation=True saturates only the finished
+    sum, the mistake the in-order checks must catch."""
+    acc_fmt = QFormat(LOG_FORMAT.total_bits + 4, LOG_FORMAT.frac_bits)
+    k = np.arange(cfg.n_mfcc)[:, np.newaxis]
+    n = np.arange(cfg.n_mel)[np.newaxis, :]
+    mat = np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_mel))
+    out = np.zeros((log_energies.shape[0], cfg.n_mfcc), dtype=np.int64)
+    for i, row in enumerate(mat):
+        acc = np.zeros(log_energies.shape[0], dtype=np.int64)
+        for j, c in enumerate(row):
+            approx = approx_csd(c, 2, cfg.bit_width - 1)
+            acc = acc + shift_add_raw_array(log_energies[:, j], approx, acc_fmt)
+            if not end_saturation:
+                acc = saturate_array(acc, acc_fmt)
+        out[:, i] = saturate_array(acc, acc_fmt)
+    return out
+
+
+def mel_energies_fork(power_bins, fb, cfg: PipelineConfig):
+    """Fixed-mode mel sums through the former shape fork: an integer
+    matmul for rectangular weights, a broadcast product for triangular."""
+    if cfg.mel_shape == "rectangular":
+        acc = power_bins @ fb.weights.T.astype(np.int64)
+    else:
+        wq = quantize_array(fb.weights, QFormat(18, 16))
+        prod = power_bins[:, np.newaxis, :] * wq[np.newaxis, :, :]
+        acc = rshift_round_even_array(prod.sum(axis=2), 16)
+    return saturate_array(acc, cfg.energy_format)
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -193,6 +230,54 @@ def test_fft_levels_match_recursion_at_full_scale(n, bits):
     got = _fft_r22_fixed(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
+
+
+# --------------------------------------------------------------- DCT, mel
+
+
+@pytest.mark.parametrize("n_mel", (4, 8, 13, 16, 20, 26, 32))
+@pytest.mark.parametrize("bits", BIT_WIDTHS)
+def test_dct_matches_loop_on_full_range_and_saturating_rows(n_mel, bits):
+    # mfcc_pipeline only reaches log values -192..112 raw, so these rows
+    # are the only check that the running sum saturates term by term
+    cfg = PipelineConfig(fft_size=64, n_mel=n_mel, n_mfcc=n_mel, bit_width=bits, mode="fixed")
+    hi, lo = LOG_FORMAT.raw_max, LOG_FORMAT.raw_min
+    rng = np.random.default_rng(n_mel * 100 + bits)
+    half, over = n_mel // 2, min(n_mel, 17)  # 17 * hi overshoots the 16-bit sum
+    rows = np.array([
+        [hi] * n_mel,
+        [lo] * n_mel,
+        [hi] * half + [lo] * (n_mel - half),
+        [lo] * half + [hi] * (n_mel - half),
+        [hi] * over + [lo] * (n_mel - over),
+        [lo] * over + [hi] * (n_mel - over),
+    ], dtype=np.int64)
+    x = np.concatenate([rows, rng.integers(lo, hi + 1, (24, n_mel))])
+    want = dct_ii_loop(x, cfg)
+    assert_same_bits(dct_ii(x, cfg), want)
+    if n_mel > 17:  # the rows tell in-order saturation from saturating the result
+        assert not np.array_equal(dct_ii_loop(x, cfg, end_saturation=True), want)
+
+
+@pytest.mark.parametrize("rate, n, n_mel", ((8000, 32, 8), (8000, 64, 16),
+                                            (16000, 128, 26), (16000, 256, 40)))
+@pytest.mark.parametrize("shape", ("rectangular", "triangular"))
+@pytest.mark.parametrize("bits", BIT_WIDTHS)
+def test_mel_energies_match_shape_fork_at_full_scale(rate, n, n_mel, shape, bits):
+    cfg = PipelineConfig(sample_rate=rate, fft_size=n, n_mel=n_mel, n_mfcc=8,
+                         mel_shape=shape, bit_width=bits, mode="fixed")
+    efmt = cfg.energy_format
+    fb = build_mel_filterbank(cfg)
+    rng = np.random.default_rng(n + bits)
+    bins = n // 2 + 1
+    power = np.concatenate([
+        np.full((1, bins), efmt.raw_max), np.zeros((1, bins)),
+        rng.choice([0, efmt.raw_max - 1, efmt.raw_max], (4, bins)),
+        rng.integers(0, efmt.raw_max + 1, (8, bins)),
+    ]).astype(np.int64)
+    want = mel_energies_fork(power, fb, cfg)
+    assert np.any(want == efmt.raw_max)  # full-scale rows do saturate
+    assert_same_bits(mel_energies(power, fb, cfg), want)
 
 
 # ----------------------------------------------------- non-contiguous input
