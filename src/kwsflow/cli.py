@@ -16,7 +16,7 @@ import numpy as np
 
 from .dse import DseStageError, run_dse
 from .errors import KwsflowError
-from .flow import resume_flow, run_flow, validate_config
+from .flow import resume_flow, run_flow
 from .frontend import PipelineConfig, mfcc_pipeline, spectrogram_distance
 from .signal import gen_signal, read_wav, write_wav
 
@@ -67,12 +67,10 @@ def _cmd_mfcc(args) -> int:
     out = Path(args.out)
     if out.suffix.lower() == ".json":
         out.write_text(_frames_json(result, cfg))
-        return EXIT_OK
-    header = ",".join(f"c{i}" for i in range(cfg.n_mfcc))
-    rows = [header]
-    for row in result.mfcc:
-        rows.append(",".join(repr(float(v)) for v in row))
-    out.write_text("\n".join(rows) + "\n")
+    else:
+        rows = [",".join(f"c{i}" for i in range(cfg.n_mfcc))]
+        rows += [",".join(repr(float(v)) for v in row) for row in result.mfcc]
+        out.write_text("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -105,7 +103,6 @@ def _cmd_dse(args) -> int:
 
 def _cmd_flow(args) -> int:
     config = json.loads(Path(args.config).read_text())
-    validate_config(config)
     if args.flow_cmd == "resume":
         result = resume_flow(config, args.checkpoint)
     else:

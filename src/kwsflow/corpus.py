@@ -14,12 +14,10 @@ rest of the pipeline without a resampling step in between.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import numpy as np
 
 from .signal import SignalBuffer
+from .toolchain import _canonical_digest
 
 CORPUS_VERSION = 1
 
@@ -72,9 +70,4 @@ def corpus_signals(sample_rate: int = 8000) -> list[SignalBuffer]:
 
 def corpus_digest() -> str:
     """SHA-256 over the canonical JSON form of the signal table."""
-    canon = json.dumps(
-        {"version": CORPUS_VERSION, "signals": _SIGNALS},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("ascii")).hexdigest()
+    return _canonical_digest({"version": CORPUS_VERSION, "signals": _SIGNALS})

@@ -10,7 +10,6 @@ byte-identical across runs and across any checkpoint/resume split.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -31,6 +30,8 @@ from .errors import (
 from .toolchain import (
     MockAdapter,
     ToolReport,
+    _canonical_digest,
+    _digest,
     run_command,
     run_simulation,
     run_sta,
@@ -43,10 +44,6 @@ STATUSES = ("pending", "running", "passed", "failed", "skipped")
 HISTORY_WINDOW = 4  # records shown to the reasoner
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class Proposal:
     writes: dict[str, str] = field(default_factory=dict)
@@ -54,8 +51,7 @@ class Proposal:
     rationale: str = ""
 
     def digest(self) -> str:
-        canon = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return _digest(canon)
+        return _canonical_digest(self.as_dict())
 
     def as_dict(self) -> dict:
         return {"writes": self.writes, "params": self.params,
@@ -412,10 +408,6 @@ def run_stage(
 # whole-flow orchestration
 # ---------------------------------------------------------------------------
 
-def _config_hash(config: dict) -> str:
-    return _digest(json.dumps(config, sort_keys=True, separators=(",", ":")))
-
-
 def validate_config(config: dict) -> None:
     if not isinstance(config, dict):
         raise ConfigInvalid("config must be a JSON object")
@@ -631,7 +623,7 @@ def resume_flow(config: dict, checkpoint_path: str | Path) -> FlowResult:
 def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "config_hash": _config_hash(config),
+        "config_hash": _canonical_digest(config),
         "state": state.as_dict(),
     }
     # A crash leaves a whole checkpoint at path, or, between the unlink and
@@ -656,7 +648,7 @@ def load_checkpoint(path: str | Path, config: dict) -> FlowState:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise CheckpointCorrupt(
                 f"unsupported schema_version {doc.get('schema_version')}")
-        if doc["config_hash"] != _config_hash(config):
+        if doc["config_hash"] != _canonical_digest(config):
             raise ConfigMismatch("checkpoint was produced under a different config")
         state = FlowState.from_dict(doc["state"])
     except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:

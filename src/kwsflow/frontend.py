@@ -91,6 +91,9 @@ class PipelineConfig:
         for name, kind in (("mode", Mode), ("window_policy", WindowPolicy), ("mel_shape", MelShape)):
             if getattr(self, name) not in get_args(kind):
                 raise ValueError(f"{name} must be one of {get_args(kind)}, got {getattr(self, name)!r}")
+        if not (2 <= self.bit_width <= 16 and self.preemphasis_k >= 1 and self.sample_rate >= 1):
+            raise ValueError("need bit_width in 2..16, preemphasis_k >= 1 and sample_rate >= 1, got "
+                             f"{self.bit_width}, {self.preemphasis_k} and {self.sample_rate}")
         if self.fft_size not in ALLOWED_FFT_SIZES:
             raise InvalidSize(f"fft_size must be one of {ALLOWED_FFT_SIZES}")
         if self.frame_hop == 0:
@@ -190,21 +193,18 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
     w = 0.5 * (1.0 - np.cos(2 * np.pi * np.arange(n) / (n - 1)))
     if policy == "exact":
         return WindowSpec(policy, w, (None,) * n)
-    approxs: list[ShiftAddApprox | None] = []
-    values = np.zeros(n)
-    for i, wi in enumerate(w):
+    approxs: list[ShiftAddApprox] = []
+    for wi in w:
         if wi <= 0.0:
             approxs.append(ShiftAddApprox((), 0.0))
-            continue
-        if policy == "single_shift":
+        elif policy == "single_shift":
             k = max(0, round(-math.log2(wi)))
             approxs.append(ShiftAddApprox(((1, k),), wi))
         elif policy == "csd2":
             approxs.append(approx_csd(wi, 2, bit_width - 1))
         else:
             raise ValueError(f"unknown window policy: {policy!r}")
-        values[i] = approxs[-1].value
-    return WindowSpec(policy, values, tuple(approxs))
+    return WindowSpec(policy, np.array([a.value for a in approxs], dtype=float), tuple(approxs))
 
 
 def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -215,21 +215,23 @@ def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     to all frames at once (exact taps fall back to a quantized multiply).
     """
     n = cfg.fft_size
-    hop = cfg.frame_hop
     if len(samples) < n:
         raise SignalTooShort(f"need at least {n} samples, got {len(samples)}")
-    frames = np.lib.stride_tricks.sliding_window_view(samples, n)[::hop]
-    spec = window_coefficients(n, cfg.window_policy, cfg.bit_width)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, n)[::cfg.frame_hop]
+    taps = _plan(cfg).taps
     if cfg.mode == "float":
-        return frames * spec.values
-    fmt = cfg.sample_format
+        return frames * taps
     if cfg.window_policy == "exact":
-        return mul_raw_array(frames, quantize_array(spec.values, fmt), fmt)
-    return shift_add_raw_array(frames, np.array(spec.approxs, dtype=object), fmt)
+        return mul_raw_array(frames, taps, cfg.sample_format)
+    return shift_add_raw_array(frames, taps, cfg.sample_format)
 
 
-def _twiddle(n: int, exps: np.ndarray) -> np.ndarray:
-    return np.exp(-2j * np.pi * exps / n)
+@lru_cache(maxsize=None)
+def _twiddles(n: int) -> np.ndarray:
+    """Read-only (3, n/4) table: row k - 1 holds W_n^(k i) = exp(-2 pi j k i / n)."""
+    w = np.exp(-2j * np.pi * (np.arange(1, 4)[:, np.newaxis] * np.arange(n // 4)) / n)
+    w.setflags(write=False)
+    return w
 
 
 def _fft_r22_complex(x: np.ndarray) -> np.ndarray:
@@ -240,8 +242,7 @@ def _fft_r22_complex(x: np.ndarray) -> np.ndarray:
     if n == 2:
         return np.stack([x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]], axis=1)
     q = n // 4
-    idx = np.arange(q)
-    a, b, c, d = x[:, idx], x[:, idx + q], x[:, idx + 2 * q], x[:, idx + 3 * q]
+    a, b, c, d = (x[:, k * q : (k + 1) * q] for k in range(4))
     # first butterfly stage (span N/2)
     t0, t1 = a + c, b + d
     t2, t3 = a - c, b - d
@@ -250,11 +251,11 @@ def _fft_r22_complex(x: np.ndarray) -> np.ndarray:
     u1 = t0 - t1
     u2 = t2 - 1j * t3
     u3 = t2 + 1j * t3
-    w = _twiddle(n, idx)
+    w1, w2, w3 = _twiddles(n)
     sub0 = _fft_r22_complex(u0)
-    sub1 = _fft_r22_complex(u2 * w)
-    sub2 = _fft_r22_complex(u1 * _twiddle(n, 2 * idx))
-    sub3 = _fft_r22_complex(u3 * _twiddle(n, 3 * idx))
+    sub1 = _fft_r22_complex(u2 * w1)
+    sub2 = _fft_r22_complex(u1 * w2)
+    sub3 = _fft_r22_complex(u3 * w3)
     out = np.empty_like(x)
     out[:, 0::4] = sub0
     out[:, 1::4] = sub1
@@ -290,18 +291,14 @@ def _twiddle_rom(m: int, fmt: QFormat) -> tuple[tuple[np.ndarray, ...], ...]:
     columns: the quantized coefficients, the integer rotation of each
     trivial twiddle (1, -1, +-j) and the mask of trivial twiddles.
     """
-    idx = np.arange(m // 4)
-    rom = []
-    for mult in (1, 2, 3):
-        w = _twiddle(m, mult * idx)
-        wr_i = np.rint(w.real).astype(np.int64)
-        wi_i = np.rint(w.imag).astype(np.int64)
-        trivial = (np.abs(w.real - wr_i) < 1e-12) & (np.abs(w.imag - wi_i) < 1e-12)
-        cols = (quantize_array(w.real, fmt), quantize_array(w.imag, fmt), wr_i, wi_i, trivial)
-        for col in cols:
-            col.setflags(write=False)
-        rom.append(tuple(col[:, np.newaxis] for col in cols))
-    return tuple(rom)
+    w = _twiddles(m)
+    wr_i = np.rint(w.real).astype(np.int64)
+    wi_i = np.rint(w.imag).astype(np.int64)
+    trivial = (np.abs(w.real - wr_i) < 1e-12) & (np.abs(w.imag - wi_i) < 1e-12)
+    cols = (quantize_array(w.real, fmt), quantize_array(w.imag, fmt), wr_i, wi_i, trivial)
+    for col in cols:
+        col.setflags(write=False)
+    return tuple(tuple(col[b, :, np.newaxis] for col in cols) for b in range(3))
 
 
 @lru_cache(maxsize=None)
@@ -510,21 +507,6 @@ def log_compress(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return quantize_array(out, LOG_FORMAT)
 
 
-def _dct_matrix(n_in: int, n_out: int) -> np.ndarray:
-    k = np.arange(n_out)[:, np.newaxis]
-    n = np.arange(n_in)[np.newaxis, :]
-    return np.cos(np.pi * k * (2 * n + 1) / (2 * n_in))
-
-
-@lru_cache(maxsize=None)
-def _dct_csd(n_mel: int, n_mfcc: int, bit_width: int) -> np.ndarray:
-    """Two-term CSD form of each DCT-II cosine, (n_mfcc, n_mel); built once per config."""
-    bank = np.array([[approx_csd(c, 2, bit_width - 1) for c in row]
-                     for row in _dct_matrix(n_mel, n_mfcc)], dtype=object)
-    bank.setflags(write=False)
-    return bank
-
-
 def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """DCT-II: c[k] = sum_n x[n] cos(pi k (2n+1) / 2M), k < n_mfcc.
 
@@ -539,18 +521,48 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
         raise DimensionMismatch(
             f"expected {cfg.n_mel} log energies, got {log_energies.shape[1]}"
         )
+    bank = _plan(cfg).dct
     if cfg.mode == "float":
-        return log_energies @ _dct_matrix(cfg.n_mel, cfg.n_mfcc).T
+        return log_energies @ bank.T
     acc_fmt = QFormat(min(32, LOG_FORMAT.total_bits + 4), LOG_FORMAT.frac_bits)
     # (n_mel, n_mfcc, frames); a two-term product of a 12-bit log value
     # fits acc_fmt, so saturating it first leaves the sum bit-identical
-    bank = _dct_csd(cfg.n_mel, cfg.n_mfcc, cfg.bit_width)
     prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank.T[:, :, np.newaxis], acc_fmt)
     acc = np.zeros(prods.shape[1:], dtype=np.int64)
     for prod in prods:
         acc += prod
         np.clip(acc, acc_fmt.raw_min, acc_fmt.raw_max, out=acc)
     return np.ascontiguousarray(acc.T)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    taps: np.ndarray  # window: float values, quantized exact taps or shift-add taps
+    filterbank: MelFilterbank
+    dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or their two-term CSD forms
+
+
+@lru_cache(maxsize=None)
+def _plan(cfg: PipelineConfig) -> _Plan:
+    """The constants cfg fixes, as the hardware fixes its ROM words and shift-add networks.
+
+    Holds the window taps and DCT bank in the mode's form and the mel filterbank.
+    cfg is frozen and checked when built, so equal configs share one plan; its
+    arrays are read-only so no caller can change a later call's bits.
+    """
+    spec = window_coefficients(cfg.fft_size, cfg.window_policy, cfg.bit_width)
+    k, n = np.ogrid[: cfg.n_mfcc, : cfg.n_mel]
+    dct = np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_mel))
+    taps = spec.values
+    if cfg.mode == "fixed":
+        taps = (quantize_array(taps, cfg.sample_format) if cfg.window_policy == "exact"
+                else np.array(spec.approxs, dtype=object))
+        dct = np.array([[approx_csd(c, 2, cfg.bit_width - 1) for c in row] for row in dct],
+                       dtype=object)
+    fb = build_mel_filterbank(cfg)
+    for a in (taps, dct, fb.weights, fb.edges_hz):
+        a.setflags(write=False)
+    return _Plan(taps, fb, dct)
 
 
 def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
@@ -570,7 +582,7 @@ def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
         # fixed datapath's per-stage halving has the same total gain)
         sre, sim = sre / cfg.fft_size, sim / cfg.fft_size
     power = power_spectrum(sre, sim, cfg)
-    log_mel = log_compress(mel_energies(power, build_mel_filterbank(cfg), cfg), cfg)
+    log_mel = log_compress(mel_energies(power, _plan(cfg).filterbank, cfg), cfg)
     mfcc = dct_ii(log_mel, cfg)
     if fixed:
         power = to_real_array(power, cfg.energy_format)

@@ -26,6 +26,15 @@ from .errors import ScenarioExhausted
 Status = str  # pass | fail | compile_error | timeout | tool_missing | parse_error
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _canonical_digest(obj) -> str:
+    """SHA-256 of obj as canonical JSON: sorted keys, no whitespace."""
+    return _digest(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+
+
 @dataclass(frozen=True)
 class ToolReport:
     status: Status
@@ -39,8 +48,7 @@ class ToolReport:
             raise ValueError("a passing report cannot carry failures")
 
     def digest(self) -> str:
-        canon = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return _canonical_digest(self.as_dict())
 
     def as_dict(self) -> dict:
         return {

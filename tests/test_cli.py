@@ -63,13 +63,16 @@ def test_mfcc_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_mfcc_invalid_pipeline_config_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("overrides, mode", [({"n_mfcc": 0}, "fixed"), ({"bit_width": 99}, "float")],
+                         ids=["n_mfcc", "float_bit_width"])
+def test_mfcc_invalid_pipeline_config_exits_two(tmp_path, capsys, overrides, mode):
     wav = _gen(tmp_path)
     cfg, out = tmp_path / "cfg.json", tmp_path / "feat.csv"
-    cfg.write_text(json.dumps({"n_mfcc": 0}))
-    code = dispatch(["mfcc", "--in", str(wav), "--config", str(cfg), "--out", str(out)])
+    cfg.write_text(json.dumps(overrides))
+    code = dispatch(["mfcc", "--in", str(wav), "--config", str(cfg), "--mode", mode,
+                     "--out", str(out)])
     assert code == EXIT_BAD_INPUT
-    assert "n_mfcc" in capsys.readouterr().err
+    assert next(iter(overrides)) in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -344,7 +344,7 @@ def test_checkpoint_corrupt(tmp_path, text, state):
         # a well-formed state in the earlier writer's shape, one field broken
         state = dict(FlowState().as_dict(), current_stage="rtl", artifacts={}, **state)
         text = json.dumps({"schema_version": flow.SCHEMA_VERSION,
-                           "config_hash": flow._config_hash(cfg), "state": state})
+                           "config_hash": flow._canonical_digest(cfg), "state": state})
     (tmp_path / "ck.json").write_text(text)
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(tmp_path / "ck.json", cfg)

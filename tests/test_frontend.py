@@ -235,6 +235,8 @@ def test_too_many_filters():
 @pytest.mark.parametrize("bad", [
     {"mode": "foo"}, {"window_policy": "hann"}, {"mel_shape": "gaussian"},
     {"n_mel": 0}, {"n_mfcc": 0}, {"n_mfcc": -1}, {"n_mel": 4, "n_mfcc": 5},
+    {"bit_width": 1}, {"bit_width": 17, "mode": "fixed"}, {"bit_width": 99},
+    {"preemphasis_k": 0}, {"sample_rate": 0},
 ])
 def test_config_rejects_unknown_names_and_filter_counts(bad):
     with pytest.raises(ValueError):
@@ -335,6 +337,80 @@ def test_pipeline_rejects_rate_mismatch():
     s = SignalBuffer(np.zeros(4000), 16000)
     with pytest.raises(DimensionMismatch):
         mfcc_pipeline(s, PipelineConfig(sample_rate=8000))
+
+
+# ------------------------------------------------- per-config constants
+
+
+# the DSE's chosen point, the default (exact taps) and a csd2 / triangular /
+# N = 256 point, each in both modes
+PLAN_POINTS = {
+    "chosen": {"window_policy": "single_shift"},
+    "default": {},
+    "wide": {"sample_rate": 16000, "bit_width": 12, "fft_size": 256, "window_policy": "csd2",
+             "mel_shape": "triangular", "n_mel": 20, "n_mfcc": 13},
+}
+PLAN_CASES = pytest.mark.parametrize("mode, point", [
+    (mode, point) for point in PLAN_POINTS for mode in ("fixed", "float")])
+
+
+def _clip(cfg):
+    return gen_signal("speechlike", seed=5, n=cfg.sample_rate // 4, sample_rate=cfg.sample_rate)
+
+
+@PLAN_CASES
+def test_equal_configs_share_one_read_only_plan(mode, point):
+    from kwsflow.frontend import _plan
+
+    plan = _plan(PipelineConfig(mode=mode, **PLAN_POINTS[point]))
+    assert _plan(PipelineConfig(mode=mode, **PLAN_POINTS[point])) is plan
+    for a in (plan.taps, plan.dct, plan.filterbank.weights, plan.filterbank.edges_hz):
+        first = (0,) * a.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            a[first] = a[first]
+
+
+@PLAN_CASES
+def test_writing_into_returned_arrays_leaves_later_calls_unchanged(mode, point):
+    cfg = PipelineConfig(mode=mode, **PLAN_POINTS[point])
+    s = _clip(cfg)
+    result = mfcc_pipeline(s, cfg)
+    want = [getattr(result, name).tobytes() for name in ("mfcc", "log_mel", "power")]
+    spec = window_coefficients(cfg.fft_size, cfg.window_policy, cfg.bit_width)
+    fb = build_mel_filterbank(cfg)
+    for a in (result.mfcc, result.log_mel, result.power, spec.values, fb.weights, fb.edges_hz,
+              *(f.coefficients for f in result.frames)):
+        a[...] = 0.25
+    again = mfcc_pipeline(s, cfg)
+    assert [getattr(again, name).tobytes() for name in ("mfcc", "log_mel", "power")] == want
+
+
+@PLAN_CASES
+def test_constants_are_derived_once_per_config(monkeypatch, mode, point):
+    from kwsflow import frontend
+
+    cfg = PipelineConfig(mode=mode, **PLAN_POINTS[point])
+    s = _clip(cfg)
+    builders = ("window_coefficients", "build_mel_filterbank", "approx_csd")
+    calls = dict.fromkeys((*builders, "exp"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in builders:
+        monkeypatch.setattr(frontend, name, counted(name, getattr(frontend, name)))
+    monkeypatch.setattr(np, "exp", counted("exp", np.exp))
+    frontend._plan.cache_clear()
+    first = mfcc_pipeline(s, cfg)
+    assert calls["window_coefficients"] == calls["build_mel_filterbank"] == 1
+    calls.update(dict.fromkeys(calls, 0))
+    for _ in range(99):
+        again = mfcc_pipeline(s, cfg)
+    assert calls == dict.fromkeys(calls, 0)
+    assert again.mfcc.tobytes() == first.mfcc.tobytes()
 
 
 # ---------------------------------------------------------------- distance
