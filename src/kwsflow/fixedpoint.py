@@ -10,7 +10,7 @@ multiplierless hardware datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class QFormat:
     def lsb(self) -> float:
         """Weight of one raw unit, 2^-frac_bits."""
         return 2.0 ** -self.frac_bits
-
-    @property
-    def min_value(self) -> float:
-        return self.raw_min * self.lsb
-
-    @property
-    def max_value(self) -> float:
-        return self.raw_max * self.lsb
 
 
 @dataclass(frozen=True)
@@ -94,10 +86,6 @@ class ShiftAddApprox:
     @property
     def value(self) -> float:
         return sum(s * 2.0 ** -k for s, k in self.terms)
-
-    @property
-    def error(self) -> float:
-        return abs(self.target - self.value)
 
 
 def saturate(raw: int, fmt: QFormat) -> int:
@@ -236,16 +224,21 @@ def mul_raw_array(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:
     return saturate_array(rshift_round_even_array(prod, fmt.frac_bits), fmt)
 
 
-def shift_add_raw_array(raw: np.ndarray, a: ShiftAddApprox | np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Vectorized apply_shift_add on raw int64 arrays.  a is one constant or an
-    object array of them broadcast against raw; a shorter constant adds 0."""
+def shift_add_planes(a: ShiftAddApprox | Sequence | np.ndarray) -> np.ndarray:
+    """Sign/shift planes of a constant or a (nested) array of them: int64 (..., depth, 2),
+    each constant's terms padded with (0, 0) to the deepest one's count."""
     consts = np.asarray(a, dtype=object)
     depth = max([1] + [len(c.terms) for c in consts.flat])
-    planes = np.array([c.terms + ((0, 0),) * (depth - len(c.terms)) for c in consts.flat],
-                      dtype=raw.dtype).reshape(consts.shape + (depth, 2))
+    return np.array([c.terms + ((0, 0),) * (depth - len(c.terms)) for c in consts.flat],
+                    dtype=np.int64).reshape(consts.shape + (depth, 2))
+
+
+def shift_add_raw_array(raw: np.ndarray, planes: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """Vectorized apply_shift_add on raw int64 arrays: planes (shift_add_planes)
+    broadcast against raw without their last two axes; a (0, 0) term adds 0."""
     acc = raw >> planes[..., 0, 1]
     acc *= planes[..., 0, 0]
-    for t in range(1, depth):
+    for t in range(1, planes.shape[-2]):
         term = raw >> planes[..., t, 1]
         term *= planes[..., t, 0]
         acc += term

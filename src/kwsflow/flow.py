@@ -10,6 +10,7 @@ byte-identical across runs and across any checkpoint/resume split.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
@@ -242,9 +243,11 @@ class RemoteReasoner:
     Each propose/reflect is one POST of a chat-style message list.  The
     reply body's text must contain exactly one fenced block holding the
     Proposal or Verdict JSON.  Transport errors retry up to 3 times
-    with exponential backoff; schema errors likewise, including a reply
-    that does not parse as a Proposal or Verdict.  An accept verdict on
-    a failing report is rejected without retrying.
+    with exponential backoff, then raise RemoteProtocolError; schema
+    errors likewise, then raise SchemaViolation, including a body that is
+    not chat JSON and a reply that does not parse as a Proposal or
+    Verdict.  An accept verdict on a failing report is rejected without
+    retrying.
     """
 
     RETRIES = 3
@@ -267,7 +270,7 @@ class RemoteReasoner:
             reply = resp.read()
         try:
             content = json.loads(reply.decode("utf-8"))["choices"][0]["message"]["content"]
-        except (UnicodeDecodeError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:  # ValueError: not UTF-8/JSON
             raise SchemaViolation(f"malformed chat response: {exc}") from exc
         if not isinstance(content, str):
             raise SchemaViolation(f"chat content must be text, got {type(content).__name__}")
@@ -280,7 +283,7 @@ class RemoteReasoner:
             try:
                 return parse(_extract_fenced_json(self._post(messages)))
             except (SchemaViolation, urllib.error.URLError, OSError,
-                    json.JSONDecodeError) as exc:
+                    http.client.HTTPException) as exc:
                 last = exc
             if attempt + 1 < self.RETRIES:
                 time.sleep(self.backoff_s * (2 ** attempt))

@@ -39,6 +39,7 @@ from .fixedpoint import (
     quantize_array,
     rshift_round_even_array,
     saturate_array,
+    shift_add_planes,
     shift_add_raw_array,
     to_real_array,
 )
@@ -163,7 +164,7 @@ def preemphasis(samples: np.ndarray, cfg: PreemphasisConfig, fmt: QFormat | None
         return x - cfg.alpha * prev
     raw = np.asarray(samples, dtype=np.int64)
     prev = np.concatenate(([0], raw[:-1]))
-    alpha = ShiftAddApprox(((1, 0), (-1, cfg.k)), cfg.alpha)
+    alpha = shift_add_planes(ShiftAddApprox(((1, 0), (-1, cfg.k)), cfg.alpha))
     return saturate_array(raw - shift_add_raw_array(prev, alpha, fmt), fmt)
 
 
@@ -171,7 +172,6 @@ def preemphasis(samples: np.ndarray, cfg: PreemphasisConfig, fmt: QFormat | None
 class WindowSpec:
     """Window coefficients plus their shift-add realizations (if any)."""
 
-    policy: WindowPolicy
     values: np.ndarray  # effective real coefficient of each tap
     approxs: tuple[ShiftAddApprox | None, ...]  # None only for "exact"
 
@@ -189,10 +189,10 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
         raise ValueError(f"window length must be >= 8, got {n}")
     if policy == "rectangular":
         one = ShiftAddApprox(((1, 0),), 1.0)
-        return WindowSpec(policy, np.ones(n), (one,) * n)
+        return WindowSpec(np.ones(n), (one,) * n)
     w = 0.5 * (1.0 - np.cos(2 * np.pi * np.arange(n) / (n - 1)))
     if policy == "exact":
-        return WindowSpec(policy, w, (None,) * n)
+        return WindowSpec(w, (None,) * n)
     approxs: list[ShiftAddApprox] = []
     for wi in w:
         if wi <= 0.0:
@@ -204,7 +204,7 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
             approxs.append(approx_csd(wi, 2, bit_width - 1))
         else:
             raise ValueError(f"unknown window policy: {policy!r}")
-    return WindowSpec(policy, np.array([a.value for a in approxs], dtype=float), tuple(approxs))
+    return WindowSpec(np.array([a.value for a in approxs], dtype=float), tuple(approxs))
 
 
 def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -527,7 +527,7 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     acc_fmt = QFormat(min(32, LOG_FORMAT.total_bits + 4), LOG_FORMAT.frac_bits)
     # (n_mel, n_mfcc, frames); a two-term product of a 12-bit log value
     # fits acc_fmt, so saturating it first leaves the sum bit-identical
-    prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank.T[:, :, np.newaxis], acc_fmt)
+    prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank, acc_fmt)
     acc = np.zeros(prods.shape[1:], dtype=np.int64)
     for prod in prods:
         acc += prod
@@ -537,9 +537,9 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    taps: np.ndarray  # window: float values, quantized exact taps or shift-add taps
+    taps: np.ndarray  # window: float values, quantized exact taps or (N, depth, 2) planes
     filterbank: MelFilterbank
-    dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or their two-term CSD forms
+    dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or (n_mel, n_mfcc, 1, depth, 2) CSD planes
 
 
 @lru_cache(maxsize=None)
@@ -556,9 +556,10 @@ def _plan(cfg: PipelineConfig) -> _Plan:
     taps = spec.values
     if cfg.mode == "fixed":
         taps = (quantize_array(taps, cfg.sample_format) if cfg.window_policy == "exact"
-                else np.array(spec.approxs, dtype=object))
-        dct = np.array([[approx_csd(c, 2, cfg.bit_width - 1) for c in row] for row in dct],
-                       dtype=object)
+                else shift_add_planes(spec.approxs))
+        # indexed (n, k, 1): dct_ii broadcasts them against (n, 1, frames) log values
+        dct = shift_add_planes([[[approx_csd(c, 2, cfg.bit_width - 1)] for c in col]
+                                for col in dct.T])
     fb = build_mel_filterbank(cfg)
     for a in (taps, dct, fb.weights, fb.edges_hz):
         a.setflags(write=False)

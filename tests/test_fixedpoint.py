@@ -5,10 +5,12 @@ import pytest
 
 from kwsflow.fixedpoint import (
     QFormat,
+    ShiftAddApprox,
     approx_csd,
     apply_shift_add,
     fx_arith,
     quantize,
+    shift_add_planes,
     to_real,
 )
 
@@ -123,6 +125,19 @@ def test_apply_shift_add_matches_multiply_exhaustively():
             got = to_real(apply_shift_add(x, a))
             want = to_real(x) * c
             assert abs(got - want) <= abs(to_real(x)) * 2 ** -6 + 2 * 2 ** -6
+
+
+def test_shift_add_planes_pad_each_constant_to_the_deepest():
+    three = ShiftAddApprox(((1, 0), (-1, 2), (1, 5)), 0.78125)
+    one = ShiftAddApprox(((-1, 3),), -0.125)
+    zero = ShiftAddApprox((), 0.0)
+    assert shift_add_planes(one).tolist() == [[-1, 3]]
+    assert shift_add_planes(zero).tolist() == [[0, 0]]
+    planes = shift_add_planes([[three, one], [zero, one]])
+    assert planes.dtype == np.int64 and planes.shape == (2, 2, 3, 2)
+    assert planes[0, 0].tolist() == [[1, 0], [-1, 2], [1, 5]]
+    assert planes[0, 1].tolist() == planes[1, 1].tolist() == [[-1, 3], [0, 0], [0, 0]]
+    assert planes[1, 0].tolist() == [[0, 0]] * 3
 
 
 def test_qformat_rejects_bad_shapes():

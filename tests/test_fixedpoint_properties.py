@@ -1,5 +1,6 @@
-"""Property tests: the vectorised shift-add kernel, with one constant or a
-bank of them, against its scalar oracle."""
+"""Property tests: each vectorised raw-integer helper against its scalar
+oracle, elementwise, on random formats and on values at and beyond the
+saturation edges."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,16 @@ from kwsflow.fixedpoint import (  # noqa: E402
     FixedValue,
     QFormat,
     ShiftAddApprox,
+    _rshift_round_even,
     apply_shift_add,
+    fx_arith,
+    mul_raw_array,
+    quantize,
+    quantize_array,
+    rshift_round_even_array,
     saturate,
+    saturate_array,
+    shift_add_planes,
     shift_add_raw_array,
 )
 
@@ -39,13 +48,18 @@ def raws(fmt: QFormat, lo: int, hi: int):
                     min_size=1, max_size=24)
 
 
+def beyond(fmt: QFormat):
+    """Raw values up to twice the format's range on either side."""
+    return raws(fmt, 2 * fmt.raw_min - 1, 2 * fmt.raw_max + 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_shift_add_raw_array_matches_scalar_oracle(data):
     fmt = data.draw(formats())
     a = data.draw(approxs())
     xs = data.draw(raws(fmt, fmt.raw_min, fmt.raw_max))
-    got = shift_add_raw_array(np.array(xs, dtype=np.int64), a, fmt)
+    got = shift_add_raw_array(np.array(xs, dtype=np.int64), shift_add_planes(a), fmt)
     want = [apply_shift_add(FixedValue(x, fmt), a).raw for x in xs]
     assert got.dtype == np.int64
     assert got.tolist() == want
@@ -53,7 +67,7 @@ def test_shift_add_raw_array_matches_scalar_oracle(data):
     # broadcast against the samples as a column
     bank = data.draw(st.lists(approxs(), min_size=1, max_size=6))
     got = shift_add_raw_array(np.array(xs, dtype=np.int64)[:, np.newaxis],
-                              np.array(bank, dtype=object), fmt)
+                              shift_add_planes(bank), fmt)
     want = [[apply_shift_add(FixedValue(x, fmt), b).raw for b in bank] for x in xs]
     assert got.dtype == np.int64
     assert got.tolist() == want
@@ -62,12 +76,75 @@ def test_shift_add_raw_array_matches_scalar_oracle(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_shift_add_raw_array_saturates_inputs_beyond_the_edges(data):
-    # raw inputs up to twice the format's range; the oracle runs in a
-    # 32-bit integer format wide enough that it never saturates itself
+    # the oracle runs in a 32-bit integer format wide enough that it
+    # never saturates itself
     fmt = data.draw(formats(max_bits=24))
     a = data.draw(approxs())
-    xs = data.draw(raws(fmt, 2 * fmt.raw_min - 1, 2 * fmt.raw_max + 1))
+    xs = data.draw(beyond(fmt))
     wide = QFormat(32, 0)
-    got = shift_add_raw_array(np.array(xs, dtype=np.int64), a, fmt)
+    got = shift_add_raw_array(np.array(xs, dtype=np.int64), shift_add_planes(a), fmt)
     want = [saturate(apply_shift_add(FixedValue(x, wide), a).raw, fmt) for x in xs]
     assert got.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quantize_array_matches_quantize(data):
+    fmt = data.draw(formats())
+    # reals up to twice the range, the range edges and exact half-LSB ties
+    lo, hi = 2 * fmt.raw_min - 1, 2 * fmt.raw_max + 1
+    grid = st.integers(2 * lo, 2 * hi).map(lambda h: h / 2 * fmt.lsb)
+    xs = data.draw(st.lists(st.one_of(
+        grid, st.floats(lo * fmt.lsb, hi * fmt.lsb, allow_nan=False)), min_size=1, max_size=24))
+    got = quantize_array(np.array(xs), fmt)
+    assert got.dtype == np.int64
+    assert got.tolist() == [quantize(x, fmt).raw for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_saturate_array_matches_saturate(data):
+    fmt = data.draw(formats())
+    xs = data.draw(beyond(fmt))
+    got = saturate_array(np.array(xs, dtype=np.int64), fmt)
+    assert got.tolist() == [saturate(x, fmt) for x in xs]
+    if fmt.total_bits < 31:  # twice the range still fits int32
+        assert saturate_array(np.array(xs, dtype=np.int32), fmt).tolist() == got.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rshift_round_even_array_matches_scalar(data):
+    # negative and zero shifts are left shifts; values are sized so the
+    # result stays below 2^62
+    s = data.draw(st.integers(-16, 40))
+    bound = 1 << (46 if s >= 0 else 46 + s)
+    ties = st.integers(-(bound >> max(s, 0)), bound >> max(s, 0)).map(
+        lambda q: (2 * q + 1) << (s - 1) if s > 0 else q)
+    vs = data.draw(st.lists(st.one_of(st.integers(-bound, bound), ties,
+                                      st.sampled_from((-1, 0, 1))), min_size=1, max_size=24))
+    got = rshift_round_even_array(np.array(vs, dtype=np.int64), s)
+    assert got.tolist() == [_rshift_round_even(v, s) for v in vs]
+    small = [v for v in vs if abs(_rshift_round_even(v, s)) < 2**31 and abs(v) < 2**31]
+    if small and s < 31:
+        got32 = rshift_round_even_array(np.array(small, dtype=np.int32), s)
+        assert got32.tolist() == [_rshift_round_even(v, s) for v in small]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mul_raw_array_matches_fx_arith(data):
+    fmt = data.draw(formats(max_bits=31))
+    a = data.draw(raws(fmt, fmt.raw_min, fmt.raw_max))
+    b = data.draw(st.lists(st.one_of(st.sampled_from((fmt.raw_min, fmt.raw_max, 0)),
+                                     st.integers(fmt.raw_min, fmt.raw_max)),
+                           min_size=len(a), max_size=len(a)))
+    got = mul_raw_array(np.array(a), np.array(b), fmt)
+    want = [fx_arith(FixedValue(x, fmt), FixedValue(y, fmt), "mul").raw for x, y in zip(a, b)]
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_mul_raw_array_refuses_formats_whose_product_overflows_int64():
+    with pytest.raises(ValueError, match="overflow"):
+        mul_raw_array(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), QFormat(32, 16))

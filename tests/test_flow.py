@@ -1,6 +1,8 @@
 """Feedback-loop orchestrator: stage loop, checkpointing, reasoners."""
 
+import contextlib
 import hashlib
+import http.client
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -565,9 +567,11 @@ def test_remote_schema_violation_after_retries(canned_server):
     None,
     ["```json", "{}", "```"],
     b"\xff\xfe{}",
+    b"<html>gateway hiccup</html>",
     _fenced({"writes": {}, "params": "ab"}),
     _fenced({"writes": {}, "params": 5}),
-], ids=["content-null", "content-list", "body-not-utf8", "params-str", "params-int"])
+], ids=["content-null", "content-list", "body-not-utf8", "body-not-json", "params-str",
+        "params-int"])
 def test_remote_malformed_reply_retries_as_schema_violation(canned_server, reply):
     url, handler = canned_server
     r = RemoteReasoner(url, backoff_s=0.01)
@@ -584,6 +588,24 @@ def test_remote_transport_error_after_retries(canned_server):
     with pytest.raises(RemoteProtocolError):
         r.propose({"stage": "rtl", "iteration": 0})
     assert len(handler.requests) == 3
+
+
+def test_remote_truncated_reply_retries_as_transport_error(monkeypatch):
+    # a body shorter than its Content-Length makes http.client raise IncompleteRead
+    class Truncated:
+        def read(self):
+            raise http.client.IncompleteRead(b'{"choices"', 90)
+
+    attempts = []
+
+    def urlopen(req, timeout):
+        attempts.append(req)
+        return contextlib.nullcontext(Truncated())
+
+    monkeypatch.setattr(flow.urllib.request, "urlopen", urlopen)
+    with pytest.raises(RemoteProtocolError):
+        RemoteReasoner("http://127.0.0.1:9", backoff_s=0).propose({"stage": "rtl"})
+    assert len(attempts) == RemoteReasoner.RETRIES
 
 
 def test_remote_recovers_on_second_attempt(canned_server):

@@ -391,7 +391,7 @@ def test_constants_are_derived_once_per_config(monkeypatch, mode, point):
 
     cfg = PipelineConfig(mode=mode, **PLAN_POINTS[point])
     s = _clip(cfg)
-    builders = ("window_coefficients", "build_mel_filterbank", "approx_csd")
+    builders = ("window_coefficients", "build_mel_filterbank", "approx_csd", "shift_add_planes")
     calls = dict.fromkeys((*builders, "exp"), 0)
 
     def counted(name, fn):
@@ -409,8 +409,22 @@ def test_constants_are_derived_once_per_config(monkeypatch, mode, point):
     calls.update(dict.fromkeys(calls, 0))
     for _ in range(99):
         again = mfcc_pipeline(s, cfg)
-    assert calls == dict.fromkeys(calls, 0)
+    # no window tap or DCT cosine is decoded again; fixed-mode pre-emphasis
+    # decodes its one constant per call
+    assert calls == {**dict.fromkeys(calls, 0), "shift_add_planes": 99 if mode == "fixed" else 0}
     assert again.mfcc.tobytes() == first.mfcc.tobytes()
+
+
+@pytest.mark.parametrize("policy", ["exact", "csd2", "single_shift", "rectangular"])
+def test_fixed_plan_holds_read_only_integer_arrays(policy):
+    from kwsflow.frontend import _plan
+
+    for point in PLAN_POINTS.values():
+        cfg = PipelineConfig(mode="fixed", **{**point, "window_policy": policy})
+        plan = _plan(cfg)
+        for a in (plan.taps, plan.dct):
+            assert a.dtype == np.int64 and not a.flags.writeable
+        assert plan.dct.shape[:3] == (cfg.n_mel, cfg.n_mfcc, 1) and plan.dct.shape[-1] == 2
 
 
 # ---------------------------------------------------------------- distance

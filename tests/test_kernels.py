@@ -22,6 +22,7 @@ from kwsflow.fixedpoint import (  # noqa: E402
     quantize_array,
     rshift_round_even_array,
     saturate_array,
+    shift_add_planes,
     shift_add_raw_array,
 )
 from kwsflow.frontend import (  # noqa: E402
@@ -132,7 +133,7 @@ def frame_and_window_stacked(samples, cfg: PipelineConfig):
         return mul_raw_array(frames, quantize_array(spec.values, fmt)[np.newaxis, :], fmt)
     out = np.zeros_like(frames)
     for i, approx in enumerate(spec.approxs):
-        out[:, i] = shift_add_raw_array(frames[:, i], approx, fmt)
+        out[:, i] = shift_add_raw_array(frames[:, i], shift_add_planes(approx), fmt)
     return out
 
 
@@ -149,7 +150,7 @@ def dct_ii_loop(log_energies, cfg: PipelineConfig, end_saturation: bool = False)
         acc = np.zeros(log_energies.shape[0], dtype=np.int64)
         for j, c in enumerate(row):
             approx = approx_csd(c, 2, cfg.bit_width - 1)
-            acc = acc + shift_add_raw_array(log_energies[:, j], approx, acc_fmt)
+            acc = acc + shift_add_raw_array(log_energies[:, j], shift_add_planes(approx), acc_fmt)
             if not end_saturation:
                 acc = saturate_array(acc, acc_fmt)
         out[:, i] = saturate_array(acc, acc_fmt)
