@@ -67,7 +67,7 @@ THRESHOLDS = {
 
 
 def dse_thresholds(config: dict | None = None) -> dict:
-    """THRESHOLDS with config's overrides; ConfigInvalid names unknown keys."""
+    """THRESHOLDS with config's overrides; ConfigInvalid names unknown keys and non-numbers."""
     config = {} if config is None else config
     if not isinstance(config, dict):
         raise ConfigInvalid("DSE thresholds must be a JSON object")
@@ -75,6 +75,9 @@ def dse_thresholds(config: dict | None = None) -> dict:
     if unknown:
         raise ConfigInvalid(
             f"unknown DSE threshold(s) {unknown}; known: {sorted(THRESHOLDS)}")
+    bad = sorted(k for k, v in config.items() if type(v) not in (int, float))
+    if bad:
+        raise ConfigInvalid(f"DSE threshold(s) {bad} must be numbers")
     return {**THRESHOLDS, **config}
 
 
@@ -468,7 +471,7 @@ def run_dse(corpus_dir: str | Path | None = None, config: dict | None = None) ->
 
     corpus_dir of None uses the bundled corpus; otherwise the directory
     must hold mono 16-bit WAV files.  config may override the criterion
-    thresholds named in THRESHOLDS; any other key raises ConfigInvalid.
+    thresholds in THRESHOLDS with numbers; anything else raises ConfigInvalid.
     """
     cfg = dse_thresholds(config)
     if corpus_dir is None:

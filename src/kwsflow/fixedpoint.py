@@ -74,7 +74,6 @@ class ShiftAddApprox:
     """
 
     terms: tuple[tuple[int, int], ...]
-    target: float
 
     def __post_init__(self) -> None:
         shifts = [k for _, k in self.terms]
@@ -171,7 +170,7 @@ def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
             break
         terms.append((sign, best_k))
         residual -= sign * 2.0 ** -best_k
-    return ShiftAddApprox(tuple(terms), c)
+    return ShiftAddApprox(tuple(terms))
 
 
 def apply_shift_add(x: FixedValue, a: ShiftAddApprox) -> FixedValue:

@@ -435,7 +435,7 @@ def validate_config(config: dict) -> None:
             if "command" in sc and not (isinstance(sc["command"], str) and sc["command"]):
                 raise ConfigInvalid("physical command must be a nonempty string")
             continue
-        if not isinstance(sc.get("budget", 1), int) or sc.get("budget", 1) < 1:
+        if type(sc.get("budget", 1)) is not int or sc.get("budget", 1) < 1:  # rejects True
             raise ConfigInvalid(f"{name} budget must be a positive integer")
         adapter = sc.get("adapter", "real")
         if adapter not in ("real", "mock"):
@@ -443,9 +443,9 @@ def validate_config(config: dict) -> None:
         if adapter == "mock" and "scenario" not in sc:
             raise ConfigInvalid(f"{name} mock adapter requires a scenario file")
     rcfg = config.get("reasoner", {"kind": "scripted"})
-    if rcfg.get("kind") not in ("scripted", "remote"):
-        raise ConfigInvalid("reasoner kind must be scripted or remote")
-    if rcfg.get("kind") == "scripted" and "rtl" in stages and "script" not in rcfg:
+    if not isinstance(rcfg, dict) or rcfg.get("kind") not in ("scripted", "remote"):
+        raise ConfigInvalid("reasoner must be an object whose kind is scripted or remote")
+    if rcfg["kind"] == "scripted" and "script" not in rcfg and {"rtl", "synthesis"} & set(stages):
         raise ConfigInvalid("scripted reasoner requires a script file")
     if rcfg.get("kind") == "remote" and "endpoint" not in rcfg:
         raise ConfigInvalid("remote reasoner requires an endpoint")

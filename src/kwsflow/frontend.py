@@ -156,7 +156,7 @@ def preemphasis(samples: np.ndarray, cfg: PreemphasisConfig, fmt: QFormat | None
     """First-order high-pass y[n] = x[n] - alpha * x[n-1], x[-1] = 0.
 
     With a format given, runs bit-accurately: alpha * x is realized as
-    x - (x >> k) on raw integers and the subtraction saturates.
+    x - (x >> k) on raw integers; it and the subtraction saturate.
     """
     if fmt is None:
         x = np.asarray(samples, dtype=np.float64)
@@ -164,8 +164,7 @@ def preemphasis(samples: np.ndarray, cfg: PreemphasisConfig, fmt: QFormat | None
         return x - cfg.alpha * prev
     raw = np.asarray(samples, dtype=np.int64)
     prev = np.concatenate(([0], raw[:-1]))
-    alpha = shift_add_planes(ShiftAddApprox(((1, 0), (-1, cfg.k)), cfg.alpha))
-    return saturate_array(raw - shift_add_raw_array(prev, alpha, fmt), fmt)
+    return saturate_array(raw - saturate_array(prev - (prev >> cfg.k), fmt), fmt)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
     if n < 8:
         raise ValueError(f"window length must be >= 8, got {n}")
     if policy == "rectangular":
-        one = ShiftAddApprox(((1, 0),), 1.0)
+        one = ShiftAddApprox(((1, 0),))
         return WindowSpec(np.ones(n), (one,) * n)
     w = 0.5 * (1.0 - np.cos(2 * np.pi * np.arange(n) / (n - 1)))
     if policy == "exact":
@@ -196,10 +195,10 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
     approxs: list[ShiftAddApprox] = []
     for wi in w:
         if wi <= 0.0:
-            approxs.append(ShiftAddApprox((), 0.0))
+            approxs.append(ShiftAddApprox(()))
         elif policy == "single_shift":
             k = max(0, round(-math.log2(wi)))
-            approxs.append(ShiftAddApprox(((1, k),), wi))
+            approxs.append(ShiftAddApprox(((1, k),)))
         elif policy == "csd2":
             approxs.append(approx_csd(wi, 2, bit_width - 1))
         else:
@@ -287,15 +286,15 @@ def _stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i):
 def _twiddle_rom(m: int, fmt: QFormat) -> tuple[tuple[np.ndarray, ...], ...]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
 
-    Each branch gets (w_re, w_im, wr_i, wi_i, trivial) as (m/4, 1)
-    columns: the quantized coefficients, the integer rotation of each
-    trivial twiddle (1, -1, +-j) and the mask of trivial twiddles.
+    Each branch gets (w_re, w_im, trivial) as (m/4, 1) columns: the ROM
+    words and the mask of trivial twiddles (1 and -j).  A trivial word is
+    stored exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so
+    its rounded multiply is an exact rotation.
     """
     w = _twiddles(m)
-    wr_i = np.rint(w.real).astype(np.int64)
-    wi_i = np.rint(w.imag).astype(np.int64)
-    trivial = (np.abs(w.real - wr_i) < 1e-12) & (np.abs(w.imag - wi_i) < 1e-12)
-    cols = (quantize_array(w.real, fmt), quantize_array(w.imag, fmt), wr_i, wi_i, trivial)
+    trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
+    cols = [np.where(trivial, np.rint(p * (1 << fmt.frac_bits)).astype(np.int64),
+                     quantize_array(p, fmt)) for p in (w.real, w.imag)] + [trivial]
     for col in cols:
         col.setflags(write=False)
     return tuple(tuple(col[b, :, np.newaxis] for col in cols) for b in range(3))
@@ -341,19 +340,15 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
         out_im = np.empty_like(out_re)
         for b, (vr, vi) in enumerate(_stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i)):
             vr, vi = saturate_array(vr, fmt), saturate_array(vi, fmt)
-            if b:
-                # trivial rotations (1, -1, +-j) bypass the multiplier, as
-                # in the hardware; only true twiddles go through the
-                # rounded complex multiply with ROM coefficients
-                w_re, w_im, wr_i, wi_i, trivial = _twiddle_rom(m, fmt)[b - 1]
-                tr, ti = vr * wr_i - vi * wi_i, vr * wi_i + vi * wr_i
-                if trivial.all():
-                    vr, vi = tr, ti
-                else:
-                    mr = rshift_round_even_array(vr * w_re - vi * w_im, fmt.frac_bits)
-                    mi = rshift_round_even_array(vr * w_im + vi * w_re, fmt.frac_bits)
-                    vr = np.where(trivial, tr, saturate_array(mr, fmt))
-                    vi = np.where(trivial, ti, saturate_array(mi, fmt))
+            if b and m > 4:  # every twiddle of a size-4 level is 1
+                # every twiddle takes the rounded multiply with its ROM
+                # word; a trivial one (1, -j) is then an exact rotation and,
+                # bypassing the multiplier in the hardware, is not saturated
+                w_re, w_im, trivial = _twiddle_rom(m, fmt)[b - 1]
+                mr = rshift_round_even_array(vr * w_re - vi * w_im, fmt.frac_bits)
+                mi = rshift_round_even_array(vr * w_im + vi * w_re, fmt.frac_bits)
+                vr = np.where(trivial, mr, saturate_array(mr, fmt))
+                vi = np.where(trivial, mi, saturate_array(mi, fmt))
             out_re[:, b], out_im[:, b] = vr, vi
         xr, xi = out_re.reshape(-1, q, n_frames), out_im.reshape(-1, q, n_frames)
         m = q

@@ -114,6 +114,17 @@ def test_dse_unknown_threshold_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["x", True, None])
+def test_dse_non_numeric_threshold_exits_two(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"err_max": value}))
+    out = tmp_path / "dse.json"
+    code = dispatch(["dse", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "err_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flow_run_and_exit_codes(tmp_path):
     scen = tmp_path / "scen.json"
     scen.write_text(json.dumps([{"status": "pass"}]))

@@ -267,3 +267,9 @@ def test_run_dse_rejects_unknown_threshold_before_any_stage():
     # a stage failure would surface as DseStageError, not ConfigInvalid
     with pytest.raises(ConfigInvalid, match="err_mx"):
         run_dse(config={"err_mx": 0.2, "loss_max": 0.3})
+
+
+@pytest.mark.parametrize("value", ["x", True, None, [0.1]])
+def test_run_dse_rejects_non_numeric_threshold_before_any_stage(value):
+    with pytest.raises(ConfigInvalid, match="err_max"):
+        run_dse(config={"err_max": value, "loss_max": 0.3})

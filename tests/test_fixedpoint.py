@@ -128,9 +128,9 @@ def test_apply_shift_add_matches_multiply_exhaustively():
 
 
 def test_shift_add_planes_pad_each_constant_to_the_deepest():
-    three = ShiftAddApprox(((1, 0), (-1, 2), (1, 5)), 0.78125)
-    one = ShiftAddApprox(((-1, 3),), -0.125)
-    zero = ShiftAddApprox((), 0.0)
+    three = ShiftAddApprox(((1, 0), (-1, 2), (1, 5)))
+    one = ShiftAddApprox(((-1, 3),))
+    zero = ShiftAddApprox(())
     assert shift_add_planes(one).tolist() == [[-1, 3]]
     assert shift_add_planes(zero).tolist() == [[0, 0]]
     planes = shift_add_planes([[three, one], [zero, one]])

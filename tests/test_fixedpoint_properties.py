@@ -37,8 +37,7 @@ def approxs(draw):
     shifts = sorted(draw(st.sets(st.integers(0, 34), max_size=4)))
     signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(shifts),
                           max_size=len(shifts)))
-    terms = tuple(zip(signs, shifts))
-    return ShiftAddApprox(terms, sum(s * 2.0 ** -k for s, k in terms))
+    return ShiftAddApprox(tuple(zip(signs, shifts)))
 
 
 def raws(fmt: QFormat, lo: int, hi: int):

@@ -112,10 +112,22 @@ def test_validate_config_rejects_unknown_dse_threshold(tmp_path):
     ({"physical": {"command": "true", "timeout_s": "60"}}, "timeout_s"),
     ({"rtl": {"adapter": "real", "timeout_s": -1}}, "timeout_s"),
     ({"synthesis": {"timeout_s": True}}, "timeout_s"),
+    ({"rtl": {"adapter": "real", "budget": True}}, "budget"),
+    ({"synthesis": {"budget": 2.0}}, "budget"),
+    ({"architecture": {"dse": {"err_max": "x"}}}, "err_max"),
+    ({"architecture": {"dse": {"err_max": True}}}, "err_max"),
 ])
 def test_validate_config_checks_physical_and_timeouts(tmp_path, stage_cfgs, match):
     cfg = make_config(tmp_path, [_pass()], stages=stage_cfgs)
     with pytest.raises(ConfigInvalid, match=match):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("reasoner", ["scripted", ["scripted"], None, {"kind": "bogus"}])
+def test_validate_config_requires_a_reasoner_object(tmp_path, reasoner):
+    cfg = make_config(tmp_path, [_pass()])
+    cfg["reasoner"] = reasoner
+    with pytest.raises(ConfigInvalid, match="reasoner must be an object"):
         validate_config(cfg)
 
 
@@ -128,10 +140,14 @@ def test_validate_config_accepts_physical_command_and_timeouts(tmp_path):
 
 def test_invalid_config_rejected_before_any_side_effect(tmp_path):
     work = tmp_path / "never_created"
-    cfg = {"workdir": str(work), "stages": {"rtl": {"adapter": "bogus"}}}
-    with pytest.raises(ConfigInvalid):
-        run_flow(cfg)
-    assert not work.exists()
+    for stages in (
+        {"rtl": {"adapter": "bogus"}},
+        # the default scripted reasoner with no script drives synthesis too
+        {"synthesis": {"adapter": "mock", "scenario": str(tmp_path / "scenario.json")}},
+    ):
+        with pytest.raises(ConfigInvalid):
+            run_flow({"workdir": str(work), "stages": stages})
+        assert not work.exists()
 
 
 # ---------------------------------------------------------------- proposals

@@ -30,6 +30,7 @@ from kwsflow.frontend import (  # noqa: E402
     LOG_FORMAT,
     PipelineConfig,
     _fft_r22_fixed,
+    _twiddle_rom,
     build_mel_filterbank,
     dct_ii,
     frame_and_window,
@@ -228,6 +229,49 @@ def test_fft_levels_match_recursion_at_full_scale(n, bits):
     clipped = [0]
     want = fft_recursive(re, im, fmt, clipped)
     assert clipped[0] > 0  # the full-scale frames do drive saturation
+    got = _fft_r22_fixed(re, im, fmt)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+@pytest.mark.parametrize("bits", BIT_WIDTHS)
+def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
+    fmt = PipelineConfig(bit_width=bits).sample_format
+    one = 1 << fmt.frac_bits
+    i = np.arange(n // 4)
+    for b, (w_re, w_im, trivial) in enumerate(_twiddle_rom(n, fmt)):
+        assert w_re.shape == w_im.shape == trivial.shape == (n // 4, 1)
+        words = list(zip(w_re[:, 0].tolist(), w_im[:, 0].tolist()))
+        # exponent (b + 1) i is a multiple of n/4: the twiddle is 1 or -j
+        assert np.array_equal(trivial[:, 0], (b + 1) * i % (n // 4) == 0)
+        for k in np.flatnonzero(trivial[:, 0]):
+            assert words[k] == ((one, 0) if (b + 1) * k % n == 0 else (0, -one))
+        w = np.exp(-2j * np.pi * (b + 1) * i / n)
+        rest = ~trivial[:, 0]
+        assert np.array_equal(w_re[rest, 0], quantize_array(w.real, fmt)[rest])
+        assert np.array_equal(w_im[rest, 0], quantize_array(w.imag, fmt)[rest])
+
+
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+@pytest.mark.parametrize("bits", BIT_WIDTHS)
+def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
+    fmt = PipelineConfig(bit_width=bits).sample_format
+    i, q = n // 8, n // 4
+    # stage 1 halves a + c and b + d to raw_min and raw_max, stage 2 halves
+    # their difference to raw_min, on the branch whose twiddle at i is -j:
+    # the unsaturated rotation leaves -raw_min = raw_max + 1
+    w_re, w_im, trivial = (col[i, 0] for col in _twiddle_rom(n, fmt)[1])
+    assert trivial and (w_re, w_im) == (0, -(1 << fmt.frac_bits))
+    assert -rshift_round_even_array(np.int64(fmt.raw_min - fmt.raw_max), 1) == fmt.raw_max + 1
+    rng = np.random.default_rng(n * 10 + bits)
+    re = np.concatenate([np.zeros((1, n), dtype=np.int64),
+                         rng.integers(fmt.raw_min, fmt.raw_max + 1, (5, n))])
+    im = np.concatenate([np.zeros((3, n), dtype=np.int64),
+                         rng.integers(fmt.raw_min, fmt.raw_max + 1, (3, n))])
+    re[:, [i, i + 2 * q]] = fmt.raw_min
+    re[:, [i + q, i + 3 * q]] = fmt.raw_max
+    want = fft_recursive(re, im, fmt, [0])
     got = _fft_r22_fixed(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
