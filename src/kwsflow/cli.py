@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dse import DseStageError, run_dse
-from .errors import KwsflowError
+from .dse import THRESHOLD_RULES, DseStageError, run_dse
+from .errors import KwsflowError, check_fields
 from .flow import resume_flow, run_flow
-from .frontend import PipelineConfig, mfcc_pipeline, spectrogram_distance
+from .frontend import PIPELINE_RULES, PipelineConfig, mfcc_pipeline, spectrogram_distance
 from .signal import gen_signal, read_wav, write_wav
 
 EXIT_OK = 0
@@ -26,11 +26,9 @@ EXIT_BAD_INPUT = 2
 
 
 def _load_pipeline_config(path: str | None, mode: str) -> PipelineConfig:
-    overrides = {}
-    if path:
-        overrides = json.loads(Path(path).read_text())
-    overrides["mode"] = mode
-    return PipelineConfig(**overrides)
+    overrides = json.loads(Path(path).read_text()) if path else {}
+    check_fields(overrides, PIPELINE_RULES, "pipeline config")  # the file as a whole, mode too
+    return PipelineConfig(**{**overrides, "mode": mode})
 
 
 def _cmd_gen(args) -> int:
@@ -90,7 +88,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dse(args) -> int:
-    dse_cfg = json.loads(Path(args.config).read_text()) if args.config else None
+    dse_cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    check_fields(dse_cfg, THRESHOLD_RULES, "DSE thresholds")  # a file holding null is no object
     try:
         report = run_dse(args.corpus, dse_cfg)
     except DseStageError as exc:

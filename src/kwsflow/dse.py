@@ -22,14 +22,14 @@ import numpy as np
 
 from .corpus import corpus_digest, corpus_signals
 from .errors import (
-    ConfigInvalid,
     DegenerateInput,
     InvalidFactor,
-    InvalidSize,
     NoFeasiblePoint,
+    Rule,
+    check_fields,
 )
 from .frontend import (
-    ALLOWED_FFT_SIZES,
+    PIPELINE_RULES,
     MelShape,
     PipelineConfig,
     WindowPolicy,
@@ -64,21 +64,16 @@ THRESHOLDS = {
     "loss_max": 0.25,  # FFT size: log-mel distance from the reference
     "delta_max": 0.05,  # mel shape: rectangular vs triangular distance
 }
+THRESHOLD_RULES = dict.fromkeys(THRESHOLDS, Rule(float))
+# PipelineConfig's rules for DesignPoint's fields, narrowed to the DSE candidates
+POINT_RULES = {k: r for k, r in PIPELINE_RULES.items() if k not in ("frame_hop", "mode")} | {
+    "sample_rate": Rule(int, allowed=RATE_CANDIDATES), "bit_width": Rule(int, lo=4, hi=16)}
 
 
 def dse_thresholds(config: dict | None = None) -> dict:
-    """THRESHOLDS with config's overrides; ConfigInvalid names unknown keys and non-numbers."""
+    """THRESHOLDS with config's overrides, each a finite number; ConfigInvalid otherwise."""
     config = {} if config is None else config
-    if not isinstance(config, dict):
-        raise ConfigInvalid("DSE thresholds must be a JSON object")
-    unknown = sorted(set(config) - set(THRESHOLDS))
-    if unknown:
-        raise ConfigInvalid(
-            f"unknown DSE threshold(s) {unknown}; known: {sorted(THRESHOLDS)}")
-    bad = sorted(k for k, v in config.items() if type(v) not in (int, float))
-    if bad:
-        raise ConfigInvalid(f"DSE threshold(s) {bad} must be numbers")
-    return {**THRESHOLDS, **config}
+    return {**THRESHOLDS, **check_fields(config, THRESHOLD_RULES, "DSE thresholds")}
 
 
 @dataclass(frozen=True)
@@ -95,12 +90,7 @@ class DesignPoint:
     n_mfcc: int = 8
 
     def __post_init__(self) -> None:
-        if self.sample_rate not in RATE_CANDIDATES:
-            raise InvalidSize(f"sample_rate must be one of {RATE_CANDIDATES}")
-        if not 4 <= self.bit_width <= 16:
-            raise InvalidSize("bit_width must be in 4..16")
-        if self.fft_size not in ALLOWED_FFT_SIZES:
-            raise InvalidSize(f"fft_size must be one of {ALLOWED_FFT_SIZES}")
+        check_fields(vars(self), POINT_RULES, "design point")
 
     def pipeline_config(self, **overrides) -> PipelineConfig:
         return PipelineConfig(**{**asdict(self), "mode": "fixed", **overrides})
@@ -471,7 +461,7 @@ def run_dse(corpus_dir: str | Path | None = None, config: dict | None = None) ->
 
     corpus_dir of None uses the bundled corpus; otherwise the directory
     must hold mono 16-bit WAV files.  config may override the criterion
-    thresholds in THRESHOLDS with numbers; anything else raises ConfigInvalid.
+    thresholds in THRESHOLDS with finite numbers; anything else raises ConfigInvalid.
     """
     cfg = dse_thresholds(config)
     if corpus_dir is None:

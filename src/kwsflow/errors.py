@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one config checker, shared across the package."""
+
+import math
+import numbers
+from dataclasses import dataclass
 
 
 class KwsflowError(Exception):
@@ -57,8 +61,8 @@ class DegenerateInput(KwsflowError):
     """Corpus energy below the measurable floor."""
 
 
-class ConfigInvalid(KwsflowError):
-    """Flow configuration failed validation."""
+class ConfigInvalid(KwsflowError, ValueError):
+    """A configuration failed validation."""
 
 
 class ConfigMismatch(KwsflowError):
@@ -83,3 +87,57 @@ class SchemaViolation(KwsflowError):
 
 class RemoteProtocolError(KwsflowError):
     """Remote reasoner endpoint failed after bounded retries."""
+
+
+# each Rule kind: the type a value must have, and how a message names it
+_KINDS = {str: (str, "a nonempty string"), dict: (dict, "an object"),
+          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number")}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """What one config key takes: a value of kind str, dict, int or float,
+    never a bool.  A str is nonempty; a dict (an object) is checked against
+    the fields table if given; a number is finite and in lo..hi.  With
+    allowed set, only those values pass."""
+
+    kind: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    allowed: tuple = ()
+    required: bool = False
+    fields: dict | None = None
+
+    def admits(self, v) -> bool:
+        if not isinstance(v, _KINDS[self.kind][0]) or isinstance(v, bool) or (self.kind is str and not v):
+            return False
+        if self.kind in (int, float) and not (-math.inf < v < math.inf and self.lo <= v <= self.hi):
+            return False  # -inf < v < inf is false for NaN too
+        return not self.allowed or v in self.allowed
+
+    def __str__(self) -> str:
+        bounds = " and ".join(f"{op} {b}" for op, b in ((">=", self.lo), ("<=", self.hi)) if math.isfinite(b))
+        return f"one of {self.allowed}" if self.allowed else f"{_KINDS[self.kind][1]} {bounds}".rstrip()
+
+
+POSITIVE = Rule(float, lo=math.ulp(0.0))  # the least positive float: any number > 0
+
+
+def check_fields(obj, rules: dict[str, Rule], where: str) -> dict:
+    """obj, if it is an object with every required key of rules and no other
+    keys, each value admitted by its rule; ConfigInvalid naming the key if not."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(f"{where} must be an object, got {obj!r}")
+    unknown = sorted(map(str, obj.keys() - rules.keys()))
+    if unknown:
+        raise ConfigInvalid(f"unknown {where} key(s) {unknown}; known: {sorted(rules)}")
+    missing = [k for k, rule in rules.items() if rule.required and k not in obj]
+    if missing:
+        raise ConfigInvalid(f"{where} requires {missing}")
+    for key, value in obj.items():
+        rule = rules[key]
+        if rule.fields is not None:
+            check_fields(value, rule.fields, f"{where}.{key}")
+        elif not rule.admits(value):
+            raise ConfigInvalid(f"{where} must be an object whose {key} is {rule}, got {value!r}")
+    return obj

@@ -19,14 +19,17 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dse import DseStageError, dse_thresholds, run_dse
+from .dse import THRESHOLD_RULES, DseStageError, run_dse
 from .errors import (
+    POSITIVE,
     CheckpointCorrupt,
     ConfigInvalid,
     ConfigMismatch,
     RemoteProtocolError,
+    Rule,
     SchemaViolation,
     ScriptExhausted,
+    check_fields,
 )
 from .toolchain import (
     MockAdapter,
@@ -186,7 +189,10 @@ class ScriptedReasoner:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedReasoner":
-        return cls(json.loads(Path(path).read_text()))
+        script = json.loads(Path(path).read_text())
+        if not isinstance(script, dict) or not all(isinstance(v, list) for v in script.values()):
+            raise ConfigInvalid(f"script {path} must be an object of proposal lists")
+        return cls(script)
 
     def propose(self, context: dict) -> Proposal:
         stage = context["stage"]
@@ -411,55 +417,45 @@ def run_stage(
 # whole-flow orchestration
 # ---------------------------------------------------------------------------
 
+_TOOL_STAGE_RULES = {"adapter": Rule(str, allowed=("real", "mock")), "scenario": Rule(str),
+                     "budget": Rule(int, lo=1), "timeout_s": POSITIVE}
+STAGE_RULES = {
+    "architecture": {"corpus": Rule(str), "dse": Rule(dict, fields=THRESHOLD_RULES)},
+    "rtl": _TOOL_STAGE_RULES,
+    "synthesis": {**_TOOL_STAGE_RULES, "liberty": Rule(str), "sdc": Rule(str)},
+    "physical": {"command": Rule(str), "timeout_s": POSITIVE},
+}
+REASONER_RULES = {"kind": Rule(str, allowed=("scripted", "remote"), required=True),
+                  "script": Rule(str), "endpoint": Rule(str), "model": Rule(str),
+                  "timeout_s": POSITIVE}
+FLOW_RULES = {
+    "workdir": Rule(str, required=True),
+    "stages": Rule(dict, required=True, fields={
+        name: Rule(dict, fields=rules) for name, rules in STAGE_RULES.items()}),
+    "reasoner": Rule(dict, fields=REASONER_RULES),
+}
+
+
 def validate_config(config: dict) -> None:
-    if not isinstance(config, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    if "workdir" not in config:
-        raise ConfigInvalid("config requires a workdir")
-    stages = config.get("stages")
-    if not isinstance(stages, dict) or not stages:
-        raise ConfigInvalid("config requires a stages object")
-    unknown = set(stages) - set(STAGES)
-    if unknown:
-        raise ConfigInvalid(f"unknown stages: {sorted(unknown)}")
+    """FLOW_RULES, then the rules that tie one key to another."""
+    check_fields(config, FLOW_RULES, "config")
+    stages = config["stages"]
+    if not stages:
+        raise ConfigInvalid("config requires a nonempty stages object")
     for name, sc in stages.items():
-        if not isinstance(sc, dict):
-            raise ConfigInvalid(f"{name} stage must be an object")
-        if name == "architecture":
-            dse_thresholds(sc.get("dse"))
-            continue
-        timeout = sc.get("timeout_s", 1)  # type(), not isinstance(): rejects True
-        if type(timeout) not in (int, float) or not timeout > 0:
-            raise ConfigInvalid(f"{name} timeout_s must be a positive number")
-        if name == "physical":
-            if "command" in sc and not (isinstance(sc["command"], str) and sc["command"]):
-                raise ConfigInvalid("physical command must be a nonempty string")
-            continue
-        if type(sc.get("budget", 1)) is not int or sc.get("budget", 1) < 1:  # rejects True
-            raise ConfigInvalid(f"{name} budget must be a positive integer")
-        adapter = sc.get("adapter", "real")
-        if adapter not in ("real", "mock"):
-            raise ConfigInvalid(f"{name} adapter must be 'real' or 'mock'")
-        if adapter == "mock" and "scenario" not in sc:
+        if sc.get("adapter") == "mock" and "scenario" not in sc:
             raise ConfigInvalid(f"{name} mock adapter requires a scenario file")
     rcfg = config.get("reasoner", {"kind": "scripted"})
-    if not isinstance(rcfg, dict) or rcfg.get("kind") not in ("scripted", "remote"):
-        raise ConfigInvalid("reasoner must be an object whose kind is scripted or remote")
     if rcfg["kind"] == "scripted" and "script" not in rcfg and {"rtl", "synthesis"} & set(stages):
         raise ConfigInvalid("scripted reasoner requires a script file")
-    if rcfg.get("kind") == "remote" and "endpoint" not in rcfg:
+    if rcfg["kind"] == "remote" and "endpoint" not in rcfg:
         raise ConfigInvalid("remote reasoner requires an endpoint")
 
 
-def _build_reasoner(config: dict):
-    rcfg = config.get("reasoner", {"kind": "scripted"})
+def _build_reasoner(rcfg: dict):
     if rcfg["kind"] == "scripted":
         return ScriptedReasoner.from_file(rcfg["script"])
-    return RemoteReasoner(
-        endpoint=rcfg["endpoint"],
-        model=rcfg.get("model", "default"),
-        timeout_s=rcfg.get("timeout_s", 60.0),
-    )
+    return RemoteReasoner(rcfg["endpoint"], **{k: rcfg[k] for k in ("model", "timeout_s") if k in rcfg})
 
 
 def _build_adapter(stage_cfg: dict, stage: str, skip: int = 0):
@@ -509,8 +505,7 @@ def _record_once(state: FlowState, stage: str, proposal: str, report: str,
     state.statuses[stage] = "passed" if ok else "failed"
 
 
-def _run_architecture(state: FlowState, config: dict, workdir: Path) -> None:
-    acfg = config["stages"].get("architecture", {})
+def _run_architecture(state: FlowState, acfg: dict, workdir: Path) -> None:
     state.statuses["architecture"] = "running"
     t0 = time.monotonic()
     try:
@@ -562,9 +557,13 @@ class _StopRequested(Exception):
 def _execute(config: dict, state: FlowState,
              checkpoint_path: str | Path | None,
              stop_after: int | None = None) -> FlowResult:
+    stages_cfg = config["stages"]
+    # every input file is read before the workdir is made
+    adapters = {s: _build_adapter(stages_cfg[s], s, skip=sum(r.stage == s for r in state.history))
+                for s in ("rtl", "synthesis") if s in stages_cfg}
+    reasoner = _build_reasoner(config.get("reasoner", {"kind": "scripted"})) if adapters else None
     workdir = Path(config["workdir"])
     workdir.mkdir(parents=True, exist_ok=True)
-    stages_cfg = config["stages"]
 
     def after_record(st: FlowState) -> None:
         if checkpoint_path is not None:
@@ -572,33 +571,22 @@ def _execute(config: dict, state: FlowState,
         if stop_after is not None and len(st.history) >= stop_after:
             raise _StopRequested
 
-    order = [s for s in STAGES if s in stages_cfg]
     try:
-        _run_stages(order, state, config, stages_cfg, workdir, after_record)
+        for stage in (s for s in STAGES if s in stages_cfg):
+            if state.statuses[stage] in ("passed", "skipped"):
+                continue
+            if stage in adapters:
+                run_stage(state, reasoner, adapters[stage], stages_cfg[stage].get("budget", 4),
+                          stage, workdir, on_record=after_record)
+            else:
+                run_once = _run_architecture if stage == "architecture" else _run_physical
+                run_once(state, stages_cfg[stage], workdir)
+                after_record(state)
+            if state.statuses[stage] == "failed":
+                break
     except _StopRequested:
         pass
     return _finish(state)
-
-
-def _run_stages(order, state, config, stages_cfg, workdir, after_record) -> None:
-    for stage in order:
-        if state.statuses[stage] in ("passed", "skipped"):
-            continue
-        if stage == "architecture":
-            _run_architecture(state, config, workdir)
-            after_record(state)
-        elif stage == "physical":
-            _run_physical(state, stages_cfg["physical"], workdir)
-            after_record(state)
-        else:
-            scfg = stages_cfg[stage]
-            reasoner = _build_reasoner(config)
-            done = len([r for r in state.history if r.stage == stage])
-            adapter = _build_adapter(scfg, stage, skip=done)
-            run_stage(state, reasoner, adapter, scfg.get("budget", 4),
-                      stage, workdir, on_record=after_record)
-        if state.statuses[stage] == "failed":
-            break
 
 
 def run_flow(config: dict, checkpoint_path: str | Path | None = None,

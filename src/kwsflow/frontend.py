@@ -24,12 +24,15 @@ from typing import Literal, get_args
 import numpy as np
 
 from .errors import (
+    ConfigInvalid,
     DimensionMismatch,
     InvalidSize,
     NegativeInput,
+    Rule,
     SignalTooShort,
     TooManyFilters,
     ZeroReference,
+    check_fields,
 )
 from .fixedpoint import (
     QFormat,
@@ -49,6 +52,19 @@ ALLOWED_FFT_SIZES = (16, 32, 64, 128, 256)
 WindowPolicy = Literal["exact", "csd2", "single_shift", "rectangular"]
 MelShape = Literal["rectangular", "triangular"]
 Mode = Literal["fixed", "float"]
+
+PIPELINE_RULES = {  # PipelineConfig's fields
+    "sample_rate": Rule(int, lo=1),
+    "bit_width": Rule(int, lo=2, hi=16),
+    "preemphasis_k": Rule(int, lo=1),
+    "fft_size": Rule(int, allowed=ALLOWED_FFT_SIZES),
+    "frame_hop": Rule(int, lo=0),  # 0 means fft_size // 2
+    "window_policy": Rule(str, allowed=get_args(WindowPolicy)),
+    "mel_shape": Rule(str, allowed=get_args(MelShape)),
+    "n_mel": Rule(int, lo=1),
+    "n_mfcc": Rule(int, lo=1),
+    "mode": Rule(str, allowed=get_args(Mode)),
+}
 
 MEL_SCALE = 2595.0
 MEL_BREAK_HZ = 700.0
@@ -89,22 +105,13 @@ class PipelineConfig:
     mode: Mode = "float"
 
     def __post_init__(self) -> None:
-        for name, kind in (("mode", Mode), ("window_policy", WindowPolicy), ("mel_shape", MelShape)):
-            if getattr(self, name) not in get_args(kind):
-                raise ValueError(f"{name} must be one of {get_args(kind)}, got {getattr(self, name)!r}")
-        if not (2 <= self.bit_width <= 16 and self.preemphasis_k >= 1 and self.sample_rate >= 1):
-            raise ValueError("need bit_width in 2..16, preemphasis_k >= 1 and sample_rate >= 1, got "
-                             f"{self.bit_width}, {self.preemphasis_k} and {self.sample_rate}")
-        if self.fft_size not in ALLOWED_FFT_SIZES:
-            raise InvalidSize(f"fft_size must be one of {ALLOWED_FFT_SIZES}")
+        check_fields(vars(self), PIPELINE_RULES, "pipeline config")
         if self.frame_hop == 0:
             object.__setattr__(self, "frame_hop", self.fft_size // 2)
-        if self.frame_hop < 1:
-            raise ValueError("frame_hop must be >= 1")
         if self.n_mel > self.fft_size // 2:
             raise TooManyFilters(f"n_mel {self.n_mel} > N/2 = {self.fft_size // 2}")
-        if not 1 <= self.n_mfcc <= self.n_mel:  # so n_mel >= 1 too
-            raise ValueError(f"need 1 <= n_mfcc <= n_mel, got n_mfcc {self.n_mfcc}, n_mel {self.n_mel}")
+        if self.n_mfcc > self.n_mel:
+            raise ConfigInvalid(f"need n_mfcc <= n_mel, got n_mfcc {self.n_mfcc}, n_mel {self.n_mel}")
 
     @property
     def sample_format(self) -> QFormat:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import ScenarioExhausted
+from .errors import ConfigInvalid, ScenarioExhausted
 
 Status = str  # pass | fail | compile_error | timeout | tool_missing | parse_error
 
@@ -261,6 +261,9 @@ class MockAdapter:
     @classmethod
     def from_file(cls, path: str | Path) -> "MockAdapter":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, list) or not all(
+                isinstance(d, dict) and isinstance(d.get("failures", []), list) for d in data):
+            raise ConfigInvalid(f"scenario {path} must be a list of report objects whose failures are lists")
         return cls(reports=[ToolReport.from_dict(d) for d in data])
 
     def __call__(self, *_args, **_kwargs) -> ToolReport:

@@ -76,6 +76,16 @@ def test_mfcc_invalid_pipeline_config_exits_two(tmp_path, capsys, overrides, mod
     assert not out.exists()
 
 
+def test_mfcc_non_integer_bit_width_exits_two_before_any_stage(tmp_path, capsys):
+    wav = _gen(tmp_path)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "feat.csv"
+    cfg.write_text(json.dumps({"bit_width": 7.5}))
+    code = dispatch(["mfcc", "--in", str(wav), "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "ConfigInvalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_reports_distances(tmp_path):
     wav = _gen(tmp_path)
     out = tmp_path / "cmp.json"
@@ -119,6 +129,15 @@ def test_dse_non_numeric_threshold_exits_two(tmp_path, capsys, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"err_max": value}))
     out = tmp_path / "dse.json"
+    code = dispatch(["dse", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_BAD_INPUT
+    assert "err_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dse_nan_threshold_exits_two(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "dse.json"
+    cfg.write_text('{"err_max": NaN}')
     code = dispatch(["dse", "--config", str(cfg), "--out", str(out)])
     assert code == EXIT_BAD_INPUT
     assert "err_max" in capsys.readouterr().err
@@ -190,3 +209,27 @@ def test_missing_input_file_exits_two(tmp_path):
         ["mfcc", "--in", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "o.csv")]
     )
     assert code == EXIT_BAD_INPUT
+
+
+def test_flow_unknown_stage_key_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"workdir": str(tmp_path / "w"),
+                               "stages": {"physical": {"comand": "true"}}}))
+    assert dispatch(["flow", "run", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    assert "comand" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_flow_malformed_scenario_exits_two(tmp_path, capsys):
+    scen, script, cfg = tmp_path / "scen.json", tmp_path / "script.json", tmp_path / "flow.json"
+    scen.write_text(json.dumps({"status": "pass"}))
+    script.write_text(json.dumps({"rtl": []}))
+    cfg.write_text(json.dumps({
+        "workdir": str(tmp_path / "work"),
+        "stages": {"rtl": {"adapter": "mock", "scenario": str(scen)}},
+        "reasoner": {"kind": "scripted", "script": str(script)},
+    }))
+    assert dispatch(["flow", "run", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and "scen.json" in err
+    assert not (tmp_path / "work").exists()

@@ -273,3 +273,18 @@ def test_run_dse_rejects_unknown_threshold_before_any_stage():
 def test_run_dse_rejects_non_numeric_threshold_before_any_stage(value):
     with pytest.raises(ConfigInvalid, match="err_max"):
         run_dse(config={"err_max": value, "loss_max": 0.3})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_run_dse_rejects_non_finite_threshold_before_any_stage(value):
+    with pytest.raises(ConfigInvalid, match="err_max"):
+        run_dse(config={"err_max": value})
+
+
+@pytest.mark.parametrize("bad", [
+    {"bit_width": 7.5}, {"bit_width": 17}, {"fft_size": 32.0}, {"sample_rate": 8000.0},
+    {"n_mel": True}, {"window_policy": "hann"},
+])
+def test_design_point_shares_the_pipeline_rules(bad):
+    with pytest.raises(ConfigInvalid, match=next(iter(bad))):
+        DesignPoint(**bad)

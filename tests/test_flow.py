@@ -148,6 +148,49 @@ def test_invalid_config_rejected_before_any_side_effect(tmp_path):
         with pytest.raises(ConfigInvalid):
             run_flow({"workdir": str(work), "stages": stages})
         assert not work.exists()
+    # input files of the wrong shape, or missing ones, are read before the workdir is made
+    scen, script = tmp_path / "scen.json", tmp_path / "script.json"
+    for scen_text, script_text, error in (
+        ('{"status": "pass"}', '{"rtl": []}', ConfigInvalid),
+        ("[1]", '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "fail", "failures": "timing"}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass"}]', '[{"writes": {}}]', ConfigInvalid),
+        ('[{"status": "pass"}]', '{"rtl": {"writes": {}}}', ConfigInvalid),
+        (None, '{"rtl": []}', FileNotFoundError),
+        ('[{"status": "pass"}]', None, FileNotFoundError),
+    ):
+        for path, text in ((scen, scen_text), (script, script_text)):
+            path.unlink(missing_ok=True)
+            if text is not None:
+                path.write_text(text)
+        with pytest.raises(error, match="scen.json|script.json"):
+            run_flow({"workdir": str(work),
+                      "stages": {"rtl": {"adapter": "mock", "scenario": str(scen)}},
+                      "reasoner": {"kind": "scripted", "script": str(script)}})
+        assert not work.exists()
+
+
+@pytest.mark.parametrize("path, value, match", [
+    (("reasonr",), {"kind": "scripted"}, "reasonr"),
+    (("stages", "physical"), {"comand": "true"}, "comand"),
+    (("reasoner", "modle"), "x", "modle"),
+    (("workdir",), 3, "workdir"),
+    (("stages", "rtl", "scenario"), 3, "scenario"),
+    (("reasoner", "script"), ["script.json"], "script"),
+    (("stages", "synthesis"), {"liberty": 1}, "liberty"),
+    (("stages", "architecture", "corpus"), 1, "corpus"),
+    (("reasoner",), {"kind": "remote", "endpoint": "http://127.0.0.1:9", "timeout_s": 0}, "timeout_s"),
+    (("reasoner",), {"kind": "remote", "endpoint": "http://127.0.0.1:9", "model": 7}, "model"),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_flow_config_key_checked_before_any_side_effect(tmp_path, path, value, match):
+    cfg = make_config(tmp_path, [_pass()])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigInvalid, match=match):
+        run_flow(cfg)
+    assert not (tmp_path / "work").exists()
 
 
 # ---------------------------------------------------------------- proposals

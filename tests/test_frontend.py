@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kwsflow.errors import (
+    ConfigInvalid,
     DimensionMismatch,
     NegativeInput,
     SignalTooShort,
@@ -241,6 +242,21 @@ def test_too_many_filters():
 def test_config_rejects_unknown_names_and_filter_counts(bad):
     with pytest.raises(ValueError):
         PipelineConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"bit_width": 7.5}, {"fft_size": 32.0}, {"preemphasis_k": 2.5}, {"frame_hop": 1.5},
+    {"n_mel": 8.0}, {"sample_rate": 8000.5}, {"n_mfcc": True}, {"sample_rate": "8000"},
+    {"bit_width": float("nan")}, {"mode": ""},
+])
+def test_config_rejects_non_integers_and_wrong_types(bad):
+    with pytest.raises(ConfigInvalid, match=next(iter(bad))):
+        PipelineConfig(**bad)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = PipelineConfig(bit_width=np.int64(9), fft_size=np.int32(64), n_mel=np.int16(8))
+    assert (cfg.bit_width, cfg.fft_size, cfg.frame_hop) == (9, 64, 32)
 
 
 def test_mel_energies_shape_and_dimension_check():
