@@ -192,6 +192,9 @@ class ScriptedReasoner:
         script = json.loads(Path(path).read_text())
         if not isinstance(script, dict) or not all(isinstance(v, list) for v in script.values()):
             raise ConfigInvalid(f"script {path} must be an object of proposal lists")
+        unknown = sorted(set(script) - set(STAGES))
+        if unknown:
+            raise ConfigInvalid(f"script {path} names unknown stages {unknown}; stages are {STAGES}")
         return cls(script)
 
     def propose(self, context: dict) -> Proposal:

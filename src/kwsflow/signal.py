@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     DegenerateWindow,
@@ -133,11 +132,17 @@ def _speechlike(p: dict, seed: int, sample_rate: int, n: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal(n)
         # one-pole smoothing keeps most noise power in the speech band
-        noise = scipy.signal.lfilter([0.25], [1.0, -0.75], noise)
+        noise = _one_pole(noise)
         noise /= max(np.max(np.abs(noise)), 1e-30)
         x += noise_level * np.max(np.abs(x)) * noise
     x *= amp / max(np.max(np.abs(x)), 1e-30)
     return x + dc_offset
+
+
+def _one_pole(v: np.ndarray) -> np.ndarray:
+    """y[i] = 0.25 v[i] + 0.75 y[i-1], rounded as lfilter([0.25], [1, -0.75]) rounds it."""
+    acc = 0.0
+    return np.array([acc := 0.25 * x + 0.75 * acc for x in v.tolist()])
 
 
 def band_power_fraction(s: SignalBuffer, cutoff_hz: float) -> float:
@@ -159,7 +164,8 @@ def decimate(s: SignalBuffer, factor: int) -> SignalBuffer:
     """Anti-alias low-pass then keep every factor-th sample.
 
     Windowed-sinc FIR, cutoff at 0.45 of the new Nyquist; the Hamming
-    window's 53 dB stopband clears the 40 dB floor.
+    window's 53 dB stopband clears the 40 dB floor.  The taps are scipy's
+    firwin(window="hamming") bit for bit; its 1 - 0.54 is not the float 0.46.
     """
     if not isinstance(factor, int) or factor < 1:
         raise InvalidFactor(f"factor must be an integer >= 1, got {factor}")
@@ -168,10 +174,12 @@ def decimate(s: SignalBuffer, factor: int) -> SignalBuffer:
     new_sr = s.sample_rate // factor
     if new_sr * factor != s.sample_rate:
         raise InvalidFactor(f"factor {factor} does not divide sample rate {s.sample_rate}")
-    cutoff = 0.45 * (new_sr / 2)
+    c = 0.45 * (new_sr / 2) / (0.5 * s.sample_rate)  # cutoff over the old Nyquist
     numtaps = 32 * factor + 1
-    taps = scipy.signal.firwin(numtaps, cutoff, fs=s.sample_rate, window="hamming")
-    filtered = scipy.signal.lfilter(taps, [1.0], s.samples)
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    taps = c * np.sinc(c * m) * (0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, numtaps)))
+    taps /= taps.sum()
+    filtered = np.convolve(taps, s.samples)[:len(s)]
     return SignalBuffer(np.clip(filtered[::factor], -1.0, 1.0), new_sr)
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import ConfigInvalid, ScenarioExhausted
 
-Status = str  # pass | fail | compile_error | timeout | tool_missing | parse_error
+REPORT_STATUSES = ("pass", "fail", "compile_error", "timeout", "tool_missing", "parse_error")
 
 
 def _digest(text: str) -> str:
@@ -37,7 +37,7 @@ def _canonical_digest(obj) -> str:
 
 @dataclass(frozen=True)
 class ToolReport:
-    status: Status
+    status: str  # one of REPORT_STATUSES
     failures: tuple[str, ...] = ()
     cell_count: int | None = None
     worst_slack_ns: float | None = None
@@ -264,6 +264,9 @@ class MockAdapter:
         if not isinstance(data, list) or not all(
                 isinstance(d, dict) and isinstance(d.get("failures", []), list) for d in data):
             raise ConfigInvalid(f"scenario {path} must be a list of report objects whose failures are lists")
+        bad = [d["status"] for d in data if d.get("status", "parse_error") not in REPORT_STATUSES]
+        if bad:
+            raise ConfigInvalid(f"scenario {path}: status {bad[0]!r} is not one of {REPORT_STATUSES}")
         return cls(reports=[ToolReport.from_dict(d) for d in data])
 
     def __call__(self, *_args, **_kwargs) -> ToolReport:

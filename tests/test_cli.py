@@ -233,3 +233,23 @@ def test_flow_malformed_scenario_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ConfigInvalid" in err and "scen.json" in err
     assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("scen_text, script_text, named", [
+    ('[{"status": "pas"}]', '{"rtl": []}', "pas"),
+    ('[{"status": "pass"}]', '{"rlt": []}', "rlt"),
+], ids=["report-status", "script-stage"])
+def test_flow_misspelt_scenario_status_or_script_stage_exits_two(
+        tmp_path, capsys, scen_text, script_text, named):
+    scen, script, cfg = tmp_path / "scen.json", tmp_path / "script.json", tmp_path / "flow.json"
+    scen.write_text(scen_text)
+    script.write_text(script_text)
+    cfg.write_text(json.dumps({
+        "workdir": str(tmp_path / "work"),
+        "stages": {"rtl": {"adapter": "mock", "scenario": str(scen)}},
+        "reasoner": {"kind": "scripted", "script": str(script)},
+    }))
+    assert dispatch(["flow", "run", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and repr(named) in err
+    assert not (tmp_path / "work").exists()

@@ -156,6 +156,8 @@ def test_invalid_config_rejected_before_any_side_effect(tmp_path):
         ('[{"status": "fail", "failures": "timing"}]', '{"rtl": []}', ConfigInvalid),
         ('[{"status": "pass"}]', '[{"writes": {}}]', ConfigInvalid),
         ('[{"status": "pass"}]', '{"rtl": {"writes": {}}}', ConfigInvalid),
+        ('[{"status": "pas"}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass"}]', '{"rlt": []}', ConfigInvalid),
         (None, '{"rtl": []}', FileNotFoundError),
         ('[{"status": "pass"}]', None, FileNotFoundError),
     ):

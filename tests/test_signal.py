@@ -1,10 +1,15 @@
 """Signal generation, WAV I/O, band power, decimation, window leakage."""
 
+import os
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kwsflow
 from kwsflow.errors import (
     DegenerateWindow,
     EmptySignal,
@@ -15,6 +20,7 @@ from kwsflow.errors import (
 from kwsflow.frontend import window_coefficients
 from kwsflow.signal import (
     SignalBuffer,
+    _one_pole,
     band_power_fraction,
     decimate,
     gen_signal,
@@ -55,6 +61,15 @@ def test_gen_signal_rejects_unknown_kind_and_bad_params():
 def test_gen_signal_speechlike_mostly_below_4khz():
     s = gen_signal("speechlike", sample_rate=16000, n=16000, seed=3)
     assert band_power_fraction(s, 4000.0) >= 0.90
+
+
+@pytest.mark.parametrize("n", [1, 7, 400, 8000])
+def test_speechlike_noise_shaping_matches_scipy_bit_for_bit(n):
+    scipy_signal = pytest.importorskip("scipy.signal")
+    for seed in range(5):
+        v = np.random.default_rng(seed).standard_normal(n)
+        ref = scipy_signal.lfilter([0.25], [1.0, -0.75], v)
+        assert _one_pole(v).tobytes() == ref.tobytes()
 
 
 def test_wav_round_trip_bit_exact(tmp_path):
@@ -139,6 +154,17 @@ def test_decimate_stopband_attenuated():
     assert 20 * np.log10(residual + 1e-30) <= -40.0
 
 
+@pytest.mark.parametrize("sr, factor", [(16000, 2), (16000, 4), (44100, 3), (48000, 6)])
+def test_decimate_matches_scipy_bit_for_bit(sr, factor):
+    scipy_signal = pytest.importorskip("scipy.signal")
+    s = gen_signal("speechlike", sample_rate=sr, n=sr // 2, seed=factor)
+    taps = scipy_signal.firwin(32 * factor + 1, 0.45 * (sr // factor / 2), fs=sr, window="hamming")
+    ref = np.clip(scipy_signal.lfilter(taps, [1.0], s.samples)[::factor], -1.0, 1.0)
+    out = decimate(s, factor)
+    assert out.sample_rate == sr // factor
+    assert out.samples.tobytes() == ref.tobytes()
+
+
 def test_decimate_rejects_bad_factor():
     s = _sine(1000)
     with pytest.raises(InvalidFactor):
@@ -162,3 +188,15 @@ def test_spectral_leakage_scale_invariant():
 def test_spectral_leakage_degenerate():
     with pytest.raises(DegenerateWindow):
         spectral_leakage(np.zeros(32))
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(kwsflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, kwsflow, kwsflow.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
