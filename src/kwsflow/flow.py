@@ -131,11 +131,11 @@ class FlowState:
     history: list = field(default_factory=list)     # ActionRecords
     pending_proposal: Proposal | None = None        # carried Revise payload
 
-    def as_dict(self) -> dict:
+    def as_dict(self, since: int = 0) -> dict:  # history from record since on
         return {
             "statuses": self.statuses,
             "paths": self.paths,
-            "history": [r.as_dict() for r in self.history],
+            "history": [r.as_dict() for r in self.history[since:]],
             "pending_proposal": (
                 self.pending_proposal.as_dict() if self.pending_proposal else None),
         }
@@ -567,10 +567,11 @@ def _execute(config: dict, state: FlowState,
     reasoner = _build_reasoner(config.get("reasoner", {"kind": "scripted"})) if adapters else None
     workdir = Path(config["workdir"])
     workdir.mkdir(parents=True, exist_ok=True)
+    journal = None if checkpoint_path is None else _Journal(checkpoint_path, config)
 
     def after_record(st: FlowState) -> None:
-        if checkpoint_path is not None:
-            save_checkpoint(st, config, checkpoint_path)
+        if journal is not None:
+            journal.save(st)
         if stop_after is not None and len(st.history) >= stop_after:
             raise _StopRequested
 
@@ -589,6 +590,9 @@ def _execute(config: dict, state: FlowState,
                 break
     except _StopRequested:
         pass
+    # the file at rest is one document, unless this run's one save already wrote it
+    if journal is not None and (journal.lines or journal.records is None):
+        save_checkpoint(state, config, checkpoint_path)
     return _finish(state)
 
 
@@ -615,6 +619,7 @@ def resume_flow(config: dict, checkpoint_path: str | Path) -> FlowResult:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
+    """The whole state as one JSON document line; a run appends to it."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "config_hash": _canonical_digest(config),
@@ -631,12 +636,36 @@ def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
+class _Journal:
+    """One run's checkpoint writes: a full save at the run's first record,
+    then one appended line per record holding what changed since the last
+    save.  _execute saves in full again when the run returns."""
+
+    def __init__(self, path: str | Path, config: dict) -> None:
+        self.path, self.config = Path(path), config
+        self.records, self.paths, self.lines = None, {}, 0  # what the file holds
+
+    def save(self, state: FlowState) -> None:
+        if self.records is None:
+            save_checkpoint(state, self.config, self.path)
+        else:
+            changed = {k: v for k, v in state.paths.items() if self.paths.get(k) != v}
+            line = json.dumps(dict(state.as_dict(since=self.records), paths=changed), sort_keys=True)
+            with self.path.open("a", encoding="utf-8") as f:  # no rename, no truncate: no ext4 writeback
+                f.write(line + "\n")
+            self.lines += 1
+        self.records, self.paths = len(state.history), dict(state.paths)
+
+
 def load_checkpoint(path: str | Path, config: dict) -> FlowState:
+    """The first line's document, then each complete journal line after it
+    applied in order; text after the last newline is a torn append."""
     ck = Path(path)
     if not ck.exists() and Path(f"{path}.tmp").exists():
         ck = Path(f"{path}.tmp")  # a save stopped before its rename
     try:
-        doc = json.loads(ck.read_text())
+        first, *journal = ck.read_text().split("\n")
+        doc = json.loads(first)
         if not isinstance(doc, dict):
             raise CheckpointCorrupt("checkpoint is not a JSON object")
         if doc.get("schema_version") != SCHEMA_VERSION:
@@ -645,6 +674,11 @@ def load_checkpoint(path: str | Path, config: dict) -> FlowState:
         if doc["config_hash"] != _canonical_digest(config):
             raise ConfigMismatch("checkpoint was produced under a different config")
         state = FlowState.from_dict(doc["state"])
+        for line in journal[:-1]:
+            step = FlowState.from_dict(json.loads(line))
+            state.history += step.history
+            state.paths.update(step.paths)
+            state.statuses, state.pending_proposal = step.statuses, step.pending_proposal
     except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:
         raise CheckpointCorrupt(f"unreadable checkpoint: {exc}") from exc
     if set(STAGES) - state.statuses.keys() or any(

@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .errors import ConfigInvalid, ScenarioExhausted
+from .errors import ConfigInvalid, Rule, ScenarioExhausted, check_fields
 
 REPORT_STATUSES = ("pass", "fail", "compile_error", "timeout", "tool_missing", "parse_error")
+# a scenario report's typed fields; cell_count and worst_slack_ns may be null
+REPORT_RULES = {"status": Rule(str, allowed=REPORT_STATUSES), "cell_count": Rule(int, lo=0),
+                "worst_slack_ns": Rule(float)}
 
 
 def _digest(text: str) -> str:
@@ -262,12 +265,18 @@ class MockAdapter:
     def from_file(cls, path: str | Path) -> "MockAdapter":
         data = json.loads(Path(path).read_text())
         if not isinstance(data, list) or not all(
-                isinstance(d, dict) and isinstance(d.get("failures", []), list) for d in data):
-            raise ConfigInvalid(f"scenario {path} must be a list of report objects whose failures are lists")
-        bad = [d["status"] for d in data if d.get("status", "parse_error") not in REPORT_STATUSES]
-        if bad:
-            raise ConfigInvalid(f"scenario {path}: status {bad[0]!r} is not one of {REPORT_STATUSES}")
-        return cls(reports=[ToolReport.from_dict(d) for d in data])
+                isinstance(d, dict) and isinstance(d.get("failures", []), list)
+                and all(isinstance(f, str) for f in d.get("failures", []))
+                and isinstance(d.get("raw_capture", ""), str) for d in data):
+            raise ConfigInvalid(f"scenario {path} must be a list of report objects whose "
+                                "failures are lists of strings and raw_capture a string")
+        for d in data:
+            check_fields({k: d[k] for k in REPORT_RULES if k in d and (k == "status" or d[k] is not None)},
+                         REPORT_RULES, f"scenario {path} report")
+        try:
+            return cls(reports=[ToolReport.from_dict(d) for d in data])
+        except ValueError as exc:  # ToolReport's own checks, as a passing report with failures
+            raise ConfigInvalid(f"scenario {path}: {exc}") from exc
 
     def __call__(self, *_args, **_kwargs) -> ToolReport:
         if self.calls >= len(self.reports):

@@ -253,3 +253,23 @@ def test_flow_misspelt_scenario_status_or_script_stage_exits_two(
     err = capsys.readouterr().err
     assert "ConfigInvalid" in err and repr(named) in err
     assert not (tmp_path / "work").exists()
+
+
+@pytest.mark.parametrize("report, named", [
+    ({"status": "pass", "cell_count": "many"}, "cell_count"),
+    ({"status": "pass", "worst_slack_ns": "0.1"}, "worst_slack_ns"),
+    ({"status": "pass", "failures": ["x"]}, "cannot carry failures"),
+], ids=["cell-count", "slack", "passing-with-failures"])
+def test_flow_mistyped_scenario_report_exits_two(tmp_path, capsys, report, named):
+    scen, script, cfg = tmp_path / "scen.json", tmp_path / "script.json", tmp_path / "flow.json"
+    scen.write_text(json.dumps([report]))
+    script.write_text(json.dumps({"rtl": [{"writes": {"top.v": "x"}}]}))
+    cfg.write_text(json.dumps({
+        "workdir": str(tmp_path / "work"),
+        "stages": {"rtl": {"adapter": "mock", "scenario": str(scen)}},
+        "reasoner": {"kind": "scripted", "script": str(script)},
+    }))
+    assert dispatch(["flow", "run", "--config", str(cfg)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and "scen.json" in err and named in err
+    assert not (tmp_path / "work").exists()

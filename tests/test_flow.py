@@ -7,6 +7,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from kwsflow.errors import (
     ConfigInvalid,
     ConfigMismatch,
     RemoteProtocolError,
+    ScenarioExhausted,
     SchemaViolation,
     ScriptExhausted,
 )
@@ -158,6 +160,14 @@ def test_invalid_config_rejected_before_any_side_effect(tmp_path):
         ('[{"status": "pass"}]', '{"rtl": {"writes": {}}}', ConfigInvalid),
         ('[{"status": "pas"}]', '{"rtl": []}', ConfigInvalid),
         ('[{"status": "pass"}]', '{"rlt": []}', ConfigInvalid),
+        ('[{"status": "pass", "cell_count": "many"}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass", "cell_count": true}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass", "cell_count": -1}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass", "worst_slack_ns": "0.1"}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass", "worst_slack_ns": NaN}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass", "raw_capture": 3}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "fail", "failures": [1]}]', '{"rtl": []}', ConfigInvalid),
+        ('[{"status": "pass", "failures": ["x"]}]', '{"rtl": []}', ConfigInvalid),
         (None, '{"rtl": []}', FileNotFoundError),
         ('[{"status": "pass"}]', None, FileNotFoundError),
     ):
@@ -534,6 +544,128 @@ def test_resume_is_byte_identical_at_every_boundary(tmp_path):
         assert got["overall"] == want["overall"]
         assert got["statuses"] == want["statuses"]
         assert [h for h in got["history"]] == [h for h in want["history"]]
+
+
+# ---------------------------------------------------------- checkpoint journal
+
+
+def _journal_config(tmp_path, scenario, **kw):
+    """make_config without the architecture stage (no DSE), with a proposal
+    for every report and physical skipped: a zero-record save after the rtl
+    records."""
+    tmp_path.mkdir(exist_ok=True)
+    kw.setdefault("script_entries", len(scenario))
+    cfg = make_config(tmp_path, scenario, stages={"physical": {}}, **kw)
+    del cfg["stages"]["architecture"]
+    return cfg
+
+
+def _crash_at_call(monkeypatch, k):
+    """Make the mock adapter raise on its call k (0-based)."""
+    call = MockAdapter.__call__
+
+    def crashing(self, *args, **kwargs):
+        if self.calls == k:
+            raise OSError(f"crash at call {k}")
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(MockAdapter, "__call__", crashing)
+
+
+@pytest.mark.parametrize("stop_after", [None, 2])
+def test_checkpoint_at_rest_is_what_save_checkpoint_writes(tmp_path, monkeypatch, stop_after):
+    cfg = make_config(tmp_path, [_fail("a"), _fail("b"), _pass()], stages={"physical": {}})
+    finished = []
+    finish = flow._finish
+    monkeypatch.setattr(flow, "_finish", lambda state: finished.append(state) or finish(state))
+    ck = tmp_path / "ck.json"
+    run_flow(cfg, checkpoint_path=ck, stop_after=stop_after)
+    save_checkpoint(finished[0], cfg, tmp_path / "want.json")
+    assert ck.read_bytes() == (tmp_path / "want.json").read_bytes()
+    assert ck.read_bytes().count(b"\n") == 1
+
+
+def test_crash_at_every_record_leaves_a_journal_that_resumes(tmp_path, monkeypatch):
+    scenario = [_fail("a"), _fail("b"), _fail("c"), _pass()]
+    full = run_flow(_journal_config(tmp_path / "ref", scenario)).to_json()
+    for k in range(1, len(scenario)):
+        d = tmp_path / f"crash{k}"
+        cfg = _journal_config(d, scenario)
+        ck = d / "ck.json"
+        _crash_at_call(monkeypatch, k)
+        with pytest.raises(OSError, match=f"crash at call {k}"):
+            run_flow(cfg, checkpoint_path=ck)
+        monkeypatch.undo()
+        # the document holds record 0; each later record is one appended line
+        lines = ck.read_text().splitlines()
+        assert len(lines) == k
+        assert json.loads(lines[0])["schema_version"] == flow.SCHEMA_VERSION
+        assert [len(json.loads(line)["history"]) for line in lines[1:]] == [1] * (k - 1)
+        assert len(load_checkpoint(ck, cfg).history) == k
+        assert resume_flow(cfg, ck).to_json() == full
+        assert len(ck.read_text().splitlines()) == 1
+
+
+def test_torn_last_journal_line_resumes_at_every_byte(tmp_path, monkeypatch):
+    scenario = [_fail("a"), _fail("b"), _fail("c"), _pass()]
+    full = run_flow(_journal_config(tmp_path / "ref", scenario)).to_json()
+    cfg = _journal_config(tmp_path, scenario)
+    ck = tmp_path / "ck.json"
+    _crash_at_call(monkeypatch, 3)
+    with pytest.raises(OSError):
+        run_flow(cfg, checkpoint_path=ck)
+    monkeypatch.undo()
+    text = ck.read_text()
+    last = text.rindex("\n", 0, len(text) - 1) + 1
+    for cut in range(last, len(text)):
+        ck.write_text(text[:cut])
+        assert len(load_checkpoint(ck, cfg).history) == 2
+        assert resume_flow(cfg, ck).to_json() == full
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    "[]",
+    '"x"',
+    "{}",
+    '{"statuses": {}, "paths": {}}',
+    '{"statuses": {}, "paths": [], "history": []}',
+    '{"statuses": {}, "paths": {}, "history": "x"}',
+    '{"statuses": {}, "paths": {}, "history": [{"stage": "rtl"}]}',
+    '{"statuses": {}, "paths": {}, "history": [], "pending_proposal": "x"}',
+    '{"statuses": {"rtl": "bogus"}, "paths": {}, "history": []}',
+], ids=["not_json", "list", "string", "empty", "no_history", "paths_list", "history_string",
+        "record_missing_keys", "proposal_string", "status_unknown"])
+def test_malformed_complete_journal_line_is_corrupt(tmp_path, monkeypatch, line):
+    cfg = _journal_config(tmp_path, [_fail("a"), _fail("b"), _pass()])
+    ck = tmp_path / "ck.json"
+    _crash_at_call(monkeypatch, 2)
+    with pytest.raises(OSError):
+        run_flow(cfg, checkpoint_path=ck)
+    monkeypatch.undo()
+    assert len(load_checkpoint(ck, cfg).history) == 2
+    with ck.open("a") as f:
+        f.write(line + "\n")
+    with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(ck, cfg)
+
+
+def test_appended_bytes_do_not_grow_with_history(tmp_path, monkeypatch):
+    n = 100
+    cfg = _journal_config(tmp_path, [_fail("same")] * n, budget=n + 1)
+    Path(cfg["reasoner"]["script"]).write_text(json.dumps({"rtl": [_proposal(0)] * (n + 1)}))
+    monkeypatch.setattr(flow, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    ck = tmp_path / "ck.json"
+    with pytest.raises(ScenarioExhausted):
+        run_flow(cfg, checkpoint_path=ck)
+    lines = ck.read_text().splitlines()
+    assert len(lines) == n
+    # records 10 and 99: the same content, and iteration numbers of the same width
+    assert json.loads(lines[10])["history"][0]["iteration"] == 10
+    assert len(lines[99].encode()) <= len(lines[10].encode())
+    # a full save at that point writes the whole history
+    save_checkpoint(load_checkpoint(ck, cfg), cfg, tmp_path / "full.json")
+    assert len(lines[99].encode()) * 10 < (tmp_path / "full.json").stat().st_size
 
 
 # ----------------------------------------------------------- remote reasoner
