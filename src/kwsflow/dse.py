@@ -152,29 +152,26 @@ def _mean_distance(corpus, cfg_a: PipelineConfig, cfg_b: PipelineConfig) -> floa
     return float(np.mean(vals))
 
 
-def top_peak_bins(power_row: np.ndarray, max_peaks: int = 3) -> list[int]:
-    """Dominant peak bins of one power-spectrum frame.
+def top_peak_bins(power: np.ndarray, max_peaks: int = 3) -> list[int] | np.ndarray:
+    """Dominant peak bins of a power-spectrum frame or (frames, bins) matrix.
 
     A bin qualifies if it is a local maximum over bins 1..N/2 (DC is
     excluded; the last bin needs only its left neighbor) and its power
     is at least a quarter of the strongest peak's, i.e. its magnitude is
     within half of the maximum.  The top max_peaks by power are
-    returned, largest first.
+    returned, largest first, ties in bin order: a list for one frame,
+    a (frames, max_peaks) int table padded with -1 for a matrix.
     """
-    half = len(power_row) - 1
-    cand = []
-    for k in range(1, half + 1):
-        if power_row[k] <= power_row[k - 1]:
-            continue
-        if k < half and power_row[k] <= power_row[k + 1]:
-            continue
-        cand.append(k)
-    if not cand:
-        return []
-    pmax = max(power_row[k] for k in cand)
-    cand = [k for k in cand if power_row[k] >= pmax / 4.0]
-    cand.sort(key=lambda k: -power_row[k])
-    return cand[:max_peaks]
+    x = np.atleast_2d(power)
+    peak = np.zeros(x.shape, dtype=bool)
+    peak[:, 1:] = x[:, 1:] > x[:, :-1]
+    peak[:, 1:-1] &= x[:, 1:-1] > x[:, 2:]
+    key = np.where(peak, x, -np.inf)
+    key[key < key.max(axis=1, keepdims=True, initial=-np.inf) / 4.0] = -np.inf
+    order = np.argsort(-key, axis=1, kind="stable")[:, :max_peaks]  # ties in bin order
+    table = np.full((x.shape[0], max_peaks), -1)
+    table[:, :order.shape[1]] = np.where(np.take_along_axis(key, order, 1) > -np.inf, order, -1)
+    return [int(k) for k in table[0] if k >= 0] if np.ndim(power) == 1 else table
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +185,22 @@ def _retention(corpus, rate: int) -> float:
 
 
 def _peak_stability(corpus, p: DesignPoint) -> tuple[bool, float]:
-    """Peak-set stability and worst peak-magnitude error, fixed vs float."""
+    """Peak-set stability and worst peak-magnitude error, fixed vs float.
+
+    Frames whose peak sets differ clear sets_match and add no error.
+    """
     sets_match = True
     worst = 0.0
     for s in corpus:
         pf = mfcc_pipeline(s, p.pipeline_config(mode="float")).power
         px = mfcc_pipeline(s, p.pipeline_config(mode="fixed")).power
-        for i in range(pf.shape[0]):
-            ref = top_peak_bins(pf[i])
-            if set(ref) != set(top_peak_bins(px[i])):
-                sets_match = False
-                continue
-            for k in ref:
-                mf = math.sqrt(pf[i][k])
-                worst = max(worst, abs(math.sqrt(px[i][k]) - mf) / mf)
+        ref = top_peak_bins(pf)
+        same = (np.sort(ref, axis=1) == np.sort(top_peak_bins(px), axis=1)).all(axis=1)
+        sets_match = sets_match and bool(same.all())
+        rows, cols = np.nonzero(same[:, None] & (ref >= 0))
+        bins = ref[rows, cols]
+        mf = np.sqrt(pf[rows, bins])
+        worst = float((np.abs(np.sqrt(px[rows, bins]) - mf) / mf).max(initial=worst))
     return sets_match, worst
 
 

@@ -293,6 +293,8 @@ class RemoteReasoner:
                 return parse(_extract_fenced_json(self._post(messages)))
             except (SchemaViolation, urllib.error.URLError, OSError,
                     http.client.HTTPException) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error reply holds its response open
                 last = exc
             if attempt + 1 < self.RETRIES:
                 time.sleep(self.backoff_s * (2 ** attempt))

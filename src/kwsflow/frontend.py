@@ -150,7 +150,11 @@ class MfccFrame:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Per-frame MFCCs plus the intermediate matrices oracles compare on."""
+    """Per-frame MFCCs plus the intermediate matrices oracles compare on.
+
+    frames hold row views of one private copy of mfcc, so writing into a
+    frame leaves mfcc unchanged.
+    """
 
     frames: tuple[MfccFrame, ...]
     mfcc: np.ndarray  # (n_frames, n_mfcc), real values
@@ -591,7 +595,7 @@ def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
         power = to_real_array(power, cfg.energy_format)
         log_mel = to_real_array(log_mel, LOG_FORMAT)
         mfcc = to_real_array(mfcc, LOG_FORMAT)
-    frames_out = tuple(MfccFrame(mfcc[i].copy(), i) for i in range(mfcc.shape[0]))
+    frames_out = tuple(map(MfccFrame, mfcc.copy(), range(mfcc.shape[0])))
     return PipelineResult(frames_out, mfcc, log_mel, power, cfg)
 
 

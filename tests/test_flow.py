@@ -711,6 +711,8 @@ def canned_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _CannedHandler
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def _fenced(obj):
@@ -781,6 +783,27 @@ def test_remote_transport_error_after_retries(canned_server):
     with pytest.raises(RemoteProtocolError):
         r.propose({"stage": "rtl", "iteration": 0})
     assert len(handler.requests) == 3
+
+
+def test_remote_closes_each_error_reply_before_retrying(canned_server, monkeypatch):
+    url, _ = canned_server
+    errors = []
+    urlopen = flow.urllib.request.urlopen
+
+    def recording_urlopen(req, timeout):
+        try:
+            return urlopen(req, timeout=timeout)
+        except flow.urllib.error.HTTPError as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(flow.urllib.request, "urlopen", recording_urlopen)
+    r = RemoteReasoner(url, backoff_s=0.01)
+    # empty responses list makes the handler return HTTP 500 every time
+    with pytest.raises(RemoteProtocolError):
+        r.propose({"stage": "rtl", "iteration": 0})
+    assert [e.code for e in errors] == [500] * RemoteReasoner.RETRIES
+    assert all(e.fp.isclosed() for e in errors)
 
 
 def test_remote_truncated_reply_retries_as_transport_error(monkeypatch):

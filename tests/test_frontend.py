@@ -402,6 +402,17 @@ def test_writing_into_returned_arrays_leaves_later_calls_unchanged(mode, point):
 
 
 @PLAN_CASES
+def test_frames_are_rows_of_a_private_copy(mode, point):
+    cfg = PipelineConfig(mode=mode, **PLAN_POINTS[point])
+    result = mfcc_pipeline(_clip(cfg), cfg)
+    assert len(result.frames) == result.mfcc.shape[0] > 0
+    for i, f in enumerate(result.frames):
+        assert f.index == i
+        np.testing.assert_array_equal(f.coefficients, result.mfcc[i])
+        assert not np.shares_memory(f.coefficients, result.mfcc)
+
+
+@PLAN_CASES
 def test_constants_are_derived_once_per_config(monkeypatch, mode, point):
     from kwsflow import frontend
 
