@@ -187,7 +187,12 @@ def apply_shift_add(x: FixedValue, a: ShiftAddApprox) -> FixedValue:
 
 # ---------------------------------------------------------------------------
 # Vectorized raw-integer helpers used by the bit-accurate pipeline.
-# Same semantics as the scalar operations, on int64 arrays.
+# Same semantics as the scalar operations, on int64 arrays or word_dtype's int32.
+
+
+def word_dtype(bound: int) -> np.dtype:
+    """int32 if every |v| <= bound fits it (bound < 2^31), else int64."""
+    return np.dtype(np.int32 if bound < 1 << 31 else np.int64)
 
 
 def quantize_array(x: np.ndarray, fmt: QFormat) -> np.ndarray:

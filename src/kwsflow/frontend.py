@@ -31,6 +31,7 @@ from .errors import (
     Rule,
     SignalTooShort,
     TooManyFilters,
+    UnsupportedFormat,
     ZeroReference,
     check_fields,
 )
@@ -45,6 +46,7 @@ from .fixedpoint import (
     shift_add_planes,
     shift_add_raw_array,
     to_real_array,
+    word_dtype,
 )
 from .signal import SignalBuffer
 
@@ -293,6 +295,11 @@ def _stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i):
     yield _half(t2r - t3i), _half(t2i + t3r)  # (t2) + j*(t3)
 
 
+def _fft_dtype(fmt: QFormat) -> np.dtype:
+    """Word of _fft_r22_fixed's levels and ROM, from its |v| |w| bound."""
+    return word_dtype(math.isqrt(2 * ((fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1)) ** 2) + 1)
+
+
 @lru_cache(maxsize=None)
 def _twiddle_rom(m: int, fmt: QFormat) -> tuple[tuple[np.ndarray, ...], ...]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
@@ -304,8 +311,8 @@ def _twiddle_rom(m: int, fmt: QFormat) -> tuple[tuple[np.ndarray, ...], ...]:
     """
     w = _twiddles(m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
-    cols = [np.where(trivial, np.rint(p * (1 << fmt.frac_bits)).astype(np.int64),
-                     quantize_array(p, fmt)) for p in (w.real, w.imag)] + [trivial]
+    cols = [np.where(trivial, np.rint(p * (1 << fmt.frac_bits)), quantize_array(p, fmt))
+            .astype(_fft_dtype(fmt)) for p in (w.real, w.imag)] + [trivial]
     for col in cols:
         col.setflags(write=False)
     return tuple(tuple(col[b, :, np.newaxis] for col in cols) for b in range(3))
@@ -332,11 +339,17 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
     Every stage output is halved.  Blocks are held as (blocks, m, frames)
     so each butterfly runs on whole rows of frames; a size-m level turns
     each block into four size-m/4 blocks, so bins come out digit-reversed
-    and one permutation per N restores natural order.
+    and one permutation per N restores natural order and widens to int64.
+
+    Words are int32 where _fft_dtype proves they fit.  With raw inputs in
+    fmt (b bits, f fraction bits), a multiply's saturated inputs have |v| <=
+    sqrt(2) 2^(b-1) and a ROM pair |w| <= 2^f + 1 (a trivial one, (+-2^f, 0),
+    is exact), so by Cauchy-Schwarz |vr w_re - vi w_im| <= |v| |w|, < 1.52e9
+    < 2^31 at b = 16, and its rounding stays within 2^f.  A butterfly sum is
+    at most 2 (raw_max + 1), covering the unsaturated -j bypass word.
     """
     n, n_frames = re.shape[1], re.shape[0]
-    xr = np.ascontiguousarray(re.T).reshape(1, n, n_frames)
-    xi = np.ascontiguousarray(im.T).reshape(1, n, n_frames)
+    xr, xi = (np.ascontiguousarray(v.T, dtype=_fft_dtype(fmt)).reshape(1, n, n_frames) for v in (re, im))
     m = n
     while m >= 4:
         q = m // 4
@@ -347,7 +360,7 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
         t1r, t1i = _half(br + dr), _half(bi + di)
         t2r, t2i = _half(ar - cr), _half(ai - ci)
         t3r, t3i = _half(br - dr), _half(bi - di)
-        out_re = np.empty((xr.shape[0], 4, q, n_frames), dtype=np.int64)
+        out_re = np.empty((xr.shape[0], 4, q, n_frames), dtype=xr.dtype)
         out_im = np.empty_like(out_re)
         for b, (vr, vi) in enumerate(_stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i)):
             vr, vi = saturate_array(vr, fmt), saturate_array(vi, fmt)
@@ -364,20 +377,19 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
         xr, xi = out_re.reshape(-1, q, n_frames), out_im.reshape(-1, q, n_frames)
         m = q
     if m == 2:  # trailing radix-2 stage when log2(N) is odd
-        xr = saturate_array(np.stack([_half(xr[:, 0] + xr[:, 1]),
-                                      _half(xr[:, 0] - xr[:, 1])], axis=1), fmt)
-        xi = saturate_array(np.stack([_half(xi[:, 0] + xi[:, 1]),
-                                      _half(xi[:, 0] - xi[:, 1])], axis=1), fmt)
+        xr, xi = (saturate_array(np.stack([_half(v[:, 0] + v[:, 1]), _half(v[:, 0] - v[:, 1])], axis=1), fmt)
+                  for v in (xr, xi))
     order = _bin_order(n)
-    return xr.reshape(n, n_frames)[order].T, xi.reshape(n, n_frames)[order].T
+    return tuple(v.reshape(n, n_frames)[order].astype(np.int64).T for v in (xr, xi))
 
 
 def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """Radix-2^2 delay-feedback FFT over a batch of frames.
 
     Inputs are (n_frames, N): real samples in float mode, raw integers
-    in fixed mode.  Output is in natural bin order.  Fixed mode has a
-    total gain of 1/N from the per-stage halving.
+    in fixed mode (else UnsupportedFormat).  Output is in natural bin
+    order.  Fixed mode has a total gain of 1/N from the per-stage halving,
+    runs on int32 words up to 16 bits and returns int64.
     """
     n = frames_re.shape[1]
     if n not in ALLOWED_FFT_SIZES:
@@ -385,11 +397,9 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     if cfg.mode == "float":
         out = _fft_r22_complex(frames_re + 1j * frames_im)
         return out.real, out.imag
-    return _fft_r22_fixed(
-        np.asarray(frames_re, dtype=np.int64),
-        np.asarray(frames_im, dtype=np.int64),
-        cfg.sample_format,
-    )
+    if not all(np.issubdtype(f.dtype, np.integer) for f in (frames_re, frames_im)):
+        raise UnsupportedFormat(f"fixed mode takes raw integer frames, got {frames_re.dtype} and {frames_im.dtype}")
+    return _fft_r22_fixed(frames_re, frames_im, cfg.sample_format)
 
 
 def dft_reference(frame: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ from kwsflow.errors import (
     NegativeInput,
     SignalTooShort,
     TooManyFilters,
+    UnsupportedFormat,
     ZeroReference,
 )
+from kwsflow.fixedpoint import quantize_array
 from kwsflow.frontend import (
     ALLOWED_FFT_SIZES,
     PipelineConfig,
@@ -191,6 +193,30 @@ def test_fft_fixed_on_bin_tone_lands_in_right_bins():
     p = re[0] ** 2 + im[0] ** 2
     hot = {int(i) for i in np.nonzero(p > p.max() / 100)[0]}
     assert hot == {4, 28}
+
+
+@pytest.mark.parametrize("bits", (7, 16))
+def test_fft_fixed_mode_on_quantised_bin_tone_lands_in_right_bins(bits):
+    n = 32
+    cfg = PipelineConfig(fft_size=n, bit_width=bits, mode="fixed", window_policy="rectangular")
+    x = quantize_array(0.5 * np.cos(2 * np.pi * 4 * np.arange(n) / n), cfg.sample_format)
+    re, im = fft_r22sdf(x[None, :], np.zeros((1, n), dtype=np.int64), cfg)
+    assert re.dtype == im.dtype == np.int64
+    p = re[0] ** 2 + im[0] ** 2
+    hot = {int(i) for i in np.nonzero(p > p.max() / 100)[0]}
+    assert hot == {4, 28}
+
+
+def test_fft_fixed_mode_rejects_real_valued_frames():
+    # truncating them to integers would zero a 0.5-amplitude tone
+    n = 32
+    cfg = PipelineConfig(fft_size=n, mode="fixed")
+    x = 0.5 * np.cos(2 * np.pi * 4 * np.arange(n) / n)
+    with pytest.raises(UnsupportedFormat, match="float64"):
+        fft_r22sdf(x[None, :], np.zeros((1, n), dtype=np.int64), cfg)
+    raw = quantize_array(x, cfg.sample_format)[None, :]
+    with pytest.raises(UnsupportedFormat, match="float64"):
+        fft_r22sdf(raw, np.zeros((1, n)), cfg)
 
 
 # ----------------------------------------------------------- power and mel

@@ -24,11 +24,13 @@ from kwsflow.fixedpoint import (  # noqa: E402
     saturate_array,
     shift_add_planes,
     shift_add_raw_array,
+    word_dtype,
 )
 from kwsflow.frontend import (  # noqa: E402
     ALLOWED_FFT_SIZES,
     LOG_FORMAT,
     PipelineConfig,
+    _fft_dtype,
     _fft_r22_fixed,
     _twiddle_rom,
     build_mel_filterbank,
@@ -170,6 +172,13 @@ def mel_energies_fork(power_bins, fb, cfg: PipelineConfig):
     return saturate_array(acc, cfg.energy_format)
 
 
+def full_scale_and_random_frames(fmt: QFormat, n: int, rows: int, rng):
+    """(re, im) int64 frames: full-scale rows on one part beside random ones on the other."""
+    full = rng.choice([fmt.raw_min, fmt.raw_max], (rows, n))
+    rand = rng.integers(fmt.raw_min, fmt.raw_max + 1, (rows, n))
+    return np.concatenate([full, rand]), np.concatenate([rand, full])
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -271,6 +280,51 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
                          rng.integers(fmt.raw_min, fmt.raw_max + 1, (3, n))])
     re[:, [i, i + 2 * q]] = fmt.raw_min
     re[:, [i + q, i + 3 * q]] = fmt.raw_max
+    want = fft_recursive(re, im, fmt, [0])
+    got = _fft_r22_fixed(re, im, fmt)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+
+
+def test_word_dtype_is_int32_exactly_below_two_to_the_31():
+    assert word_dtype(0) == word_dtype((1 << 31) - 1) == np.int32
+    assert word_dtype(1 << 31) == word_dtype((1 << 62) + 1) == np.int64
+    # the FFT's product bound, sqrt(2) 2^(b-1) (2^(b-1) + 1), fits int32 up to 16 bits
+    assert _fft_dtype(QFormat(16, 15)) == np.int32
+    assert _fft_dtype(QFormat(17, 16)) == np.int64
+
+
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+@pytest.mark.parametrize("bits", BIT_WIDTHS)
+def test_fft_of_int32_frames_matches_int64_frames(n, bits):
+    fmt = PipelineConfig(bit_width=bits).sample_format
+    re, im = full_scale_and_random_frames(fmt, n, 4, np.random.default_rng(n * 1000 + bits))
+    want = _fft_r22_fixed(re, im, fmt)
+    got = _fft_r22_fixed(re.astype(np.int32), im.astype(np.int32), fmt)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+    oracle = fft_recursive(re, im, fmt, [0])
+    assert_same_bits(want[0], oracle[0])
+    assert_same_bits(want[1], oracle[1])
+
+
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+def test_fft_of_all_raw_min_frames_at_16_bits_matches_recursion(n):
+    fmt = PipelineConfig(bit_width=16).sample_format
+    low, zero = np.full((1, n), fmt.raw_min, dtype=np.int64), np.zeros((1, n), dtype=np.int64)
+    # raw_min on the real part, the imaginary part and both
+    re, im = np.concatenate([low, zero, low]), np.concatenate([zero, low, low])
+    want = fft_recursive(re, im, fmt, [0])
+    got = _fft_r22_fixed(re, im, fmt)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+def test_fft_of_a_format_wider_than_int32_proof_matches_recursion(n):
+    fmt = QFormat(24, 23)
+    assert _fft_dtype(fmt) == np.int64
+    re, im = full_scale_and_random_frames(fmt, n, 3, np.random.default_rng(n))
     want = fft_recursive(re, im, fmt, [0])
     got = _fft_r22_fixed(re, im, fmt)
     assert_same_bits(got[0], want[0])
