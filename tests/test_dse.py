@@ -1,10 +1,12 @@
 """Design-space exploration: stage selectors, cost model, Pareto front."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from kwsflow.corpus import corpus_signals
 from kwsflow.dse import (
     DesignPoint,
     DseStageError,
@@ -20,8 +22,8 @@ from kwsflow.dse import (
     select_window_policy,
     top_peak_bins,
 )
-from kwsflow.errors import ConfigInvalid, DegenerateInput, NoFeasiblePoint
-from kwsflow.signal import SignalBuffer
+from kwsflow.errors import ConfigInvalid, DegenerateInput, InvalidFactor, NoFeasiblePoint
+from kwsflow.signal import SignalBuffer, write_wav
 
 
 class ToneCorpus:
@@ -252,6 +254,33 @@ def test_run_dse_deterministic():
 def test_run_dse_missing_directory():
     with pytest.raises(FileNotFoundError):
         run_dse(corpus_dir="/nonexistent/corpus/dir")
+
+
+def _write_corpus(path, sample_rate):
+    for i, s in enumerate(corpus_signals(sample_rate)):
+        write_wav(path / f"s{i}.wav", s)
+
+
+def test_run_dse_wav_directory_report_bytes(tmp_path):
+    # the bundled signals as 48 kHz WAVs: decimated by 6 after the bandwidth
+    # decision; the digest covers file names and bytes as well as every decision
+    _write_corpus(tmp_path, 48000)
+    report = run_dse(corpus_dir=tmp_path)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "5a09e10c8aa1b107c67879ff77df38199976cc078cce87e50e376a97c66bc817"
+
+
+def test_run_dse_wav_directory_needs_an_integer_decimation_factor(tmp_path):
+    _write_corpus(tmp_path, 44100)  # 44100 is not a multiple of the chosen 8000
+    with pytest.raises(DseStageError) as exc:
+        run_dse(corpus_dir=tmp_path)
+    assert isinstance(exc.value.cause, InvalidFactor)
+    assert [d["parameter"] for d in exc.value.report.decisions] == ["sample_rate"]
+
+
+def test_run_dse_empty_directory(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        run_dse(corpus_dir=tmp_path)
 
 
 def test_run_dse_stage_failure_carries_partial_report():
