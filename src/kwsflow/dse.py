@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -152,26 +153,25 @@ def _mean_distance(corpus, cfg_a: PipelineConfig, cfg_b: PipelineConfig) -> floa
     return float(np.mean(vals))
 
 
-def top_peak_bins(power: np.ndarray, max_peaks: int = 3) -> list[int] | np.ndarray:
-    """Dominant peak bins of a power-spectrum frame or (frames, bins) matrix.
+def top_peak_bins(power: np.ndarray, max_peaks: int = 3) -> np.ndarray:
+    """Dominant peak bins of each frame of a (frames, bins) power matrix.
 
     A bin qualifies if it is a local maximum over bins 1..N/2 (DC is
     excluded; the last bin needs only its left neighbor) and its power
     is at least a quarter of the strongest peak's, i.e. its magnitude is
     within half of the maximum.  The top max_peaks by power are
-    returned, largest first, ties in bin order: a list for one frame,
-    a (frames, max_peaks) int table padded with -1 for a matrix.
+    returned, largest first, ties in bin order, as a (frames, max_peaks)
+    int table padded with -1.
     """
-    x = np.atleast_2d(power)
-    peak = np.zeros(x.shape, dtype=bool)
-    peak[:, 1:] = x[:, 1:] > x[:, :-1]
-    peak[:, 1:-1] &= x[:, 1:-1] > x[:, 2:]
-    key = np.where(peak, x, -np.inf)
+    peak = np.zeros(power.shape, dtype=bool)
+    peak[:, 1:] = power[:, 1:] > power[:, :-1]
+    peak[:, 1:-1] &= power[:, 1:-1] > power[:, 2:]
+    key = np.where(peak, power, -np.inf)
     key[key < key.max(axis=1, keepdims=True, initial=-np.inf) / 4.0] = -np.inf
     order = np.argsort(-key, axis=1, kind="stable")[:, :max_peaks]  # ties in bin order
-    table = np.full((x.shape[0], max_peaks), -1)
+    table = np.full((power.shape[0], max_peaks), -1)
     table[:, :order.shape[1]] = np.where(np.take_along_axis(key, order, 1) > -np.inf, order, -1)
-    return [int(k) for k in table[0] if k >= 0] if np.ndim(power) == 1 else table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -393,47 +393,39 @@ def pareto_front(points: list[tuple[DesignPoint, DesignMetrics]]) -> list[tuple[
 
 
 # ---------------------------------------------------------------------------
-# corpus sources and the full exploration run
+# the corpus and the full exploration run
 # ---------------------------------------------------------------------------
 
-class _BundledCorpus:
-    def __init__(self) -> None:
-        self.digest = corpus_digest()
+def _corpus(corpus_dir: str | Path | None) -> tuple[str, list[SignalBuffer], Callable[[int], list[SignalBuffer]]]:
+    """(digest, buffers at their native rate, at_rate) of the bundled corpus or a WAV directory.
 
-    def native(self) -> list[SignalBuffer]:
-        return corpus_signals(44100)
+    at_rate(rate) renders the bundled signals at rate, or decimates each WAV
+    to it, raising InvalidFactor unless its rate is a multiple of rate.
+    """
+    if corpus_dir is None:
+        return corpus_digest(), corpus_signals(44100), corpus_signals
+    path = Path(corpus_dir)
+    if not path.is_dir():
+        raise FileNotFoundError(f"corpus directory not found: {corpus_dir}")
+    paths = sorted(path.glob("*.wav"))
+    if not paths:
+        raise FileNotFoundError(f"no .wav files under {path}")
+    buffers = [read_wav(f) for f in paths]
+    h = hashlib.sha256()
+    for f in paths:
+        h.update(f.name.encode())
+        h.update(f.read_bytes())
 
-    def at_rate(self, rate: int) -> list[SignalBuffer]:
-        return corpus_signals(rate)
-
-
-class _DirectoryCorpus:
-    def __init__(self, path: Path) -> None:
-        self.paths = sorted(path.glob("*.wav"))
-        if not self.paths:
-            raise FileNotFoundError(f"no .wav files under {path}")
-        self.buffers = [read_wav(f) for f in self.paths]
-        h = hashlib.sha256()
-        for f in self.paths:
-            h.update(f.name.encode())
-            h.update(f.read_bytes())
-        self.digest = h.hexdigest()
-
-    def native(self) -> list[SignalBuffer]:
-        return self.buffers
-
-    def at_rate(self, rate: int) -> list[SignalBuffer]:
+    def at_rate(rate: int) -> list[SignalBuffer]:
         out = []
-        for b in self.buffers:
-            if b.sample_rate == rate:
-                out.append(b)
-            elif b.sample_rate % rate == 0:
-                out.append(decimate(b, b.sample_rate // rate))
-            else:
+        for b in buffers:
+            if b.sample_rate % rate:
                 raise InvalidFactor(
-                    f"cannot resample {b.sample_rate} Hz to {rate} Hz "
-                    "by an integer factor")
+                    f"cannot resample {b.sample_rate} Hz to {rate} Hz by an integer factor")
+            out.append(b if b.sample_rate == rate else decimate(b, b.sample_rate // rate))
         return out
+
+    return h.hexdigest(), buffers, at_rate
 
 
 class DseStageError(Exception):
@@ -463,21 +455,14 @@ def run_dse(corpus_dir: str | Path | None = None, config: dict | None = None) ->
     thresholds in THRESHOLDS with finite numbers; anything else raises ConfigInvalid.
     """
     cfg = dse_thresholds(config)
-    if corpus_dir is None:
-        source = _BundledCorpus()
-    else:
-        path = Path(corpus_dir)
-        if not path.is_dir():
-            raise FileNotFoundError(f"corpus directory not found: {corpus_dir}")
-        source = _DirectoryCorpus(path)
-
-    report = DseReport(corpus_digest=source.digest)
+    digest, native, at_rate = _corpus(corpus_dir)
+    report = DseReport(corpus_digest=digest)
     p = DesignPoint()
     try:
-        rate, entry = _decide_bandwidth(source.native(), cfg["retention_min"])
+        rate, entry = _decide_bandwidth(native, cfg["retention_min"])
         report.decisions.append(entry)
         p = replace(p, sample_rate=rate)
-        working = source.at_rate(rate)
+        working = at_rate(rate)
         for decide, key in _CHAIN:
             value, entry = decide(working, p, cfg[key])
             report.decisions.append(entry)

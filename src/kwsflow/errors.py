@@ -10,7 +10,7 @@ class KwsflowError(Exception):
 
 
 class UnsupportedFormat(KwsflowError):
-    """WAV file is not 16-bit PCM mono little-endian, or fixed-mode frames are not integers."""
+    """WAV file is not 16-bit PCM mono little-endian, or fixed-mode frames are not raw sample words."""
 
 
 class InvalidParams(KwsflowError):

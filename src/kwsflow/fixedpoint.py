@@ -1,7 +1,7 @@
-"""Fixed-point number representation with saturating arithmetic.
+"""Fixed-point formats and saturating arithmetic on raw integer arrays.
 
-Values are stored as raw integers against a Q-format (total bits,
-fraction bits, signedness).  Overflow always saturates, never wraps.
+Values are raw integers against a Q-format (total bits, fraction bits,
+signedness).  Overflow always saturates, never wraps.
 Constants can be decomposed into canonical-signed-digit (CSD) form so a
 multiply becomes a handful of shifts and adds, mirroring a
 multiplierless hardware datapath.
@@ -10,11 +10,9 @@ multiplierless hardware datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
-
-ArithKind = Literal["add", "sub", "mul"]
 
 
 @dataclass(frozen=True)
@@ -50,21 +48,6 @@ class QFormat:
 
 
 @dataclass(frozen=True)
-class FixedValue:
-    """One fixed-point sample: raw integer plus its format."""
-
-    raw: int
-    format: QFormat
-
-    def __post_init__(self) -> None:
-        if not self.format.raw_min <= self.raw <= self.format.raw_max:
-            raise ValueError(
-                f"raw {self.raw} outside format range "
-                f"[{self.format.raw_min}, {self.format.raw_max}]"
-            )
-
-
-@dataclass(frozen=True)
 class ShiftAddApprox:
     """A constant as a signed sum of powers of two: value = sum s * 2^-k.
 
@@ -85,56 +68,6 @@ class ShiftAddApprox:
     @property
     def value(self) -> float:
         return sum(s * 2.0 ** -k for s, k in self.terms)
-
-
-def saturate(raw: int, fmt: QFormat) -> int:
-    """Clamp a raw integer into the format's representable range."""
-    return min(max(raw, fmt.raw_min), fmt.raw_max)
-
-
-def _rshift_round_even(v: int, s: int) -> int:
-    """Arithmetic right shift by s with round-to-nearest, ties to even."""
-    if s <= 0:
-        return v << -s
-    q = v >> s
-    r = v - (q << s)
-    half = 1 << (s - 1)
-    if r > half or (r == half and (q & 1)):
-        q += 1
-    return q
-
-
-def quantize(x: float, fmt: QFormat) -> FixedValue:
-    """Round a real to the raw grid (nearest even), saturating at the edges."""
-    scaled = x * (1 << fmt.frac_bits)
-    # round() on float is round-half-even, matching the grid convention
-    raw = round(scaled)
-    return FixedValue(saturate(raw, fmt), fmt)
-
-
-def to_real(v: FixedValue) -> float:
-    """Exact real value of a fixed-point sample."""
-    return v.raw * v.format.lsb
-
-
-def fx_arith(a: FixedValue, b: FixedValue, kind: ArithKind) -> FixedValue:
-    """Saturating add/sub/mul of two values sharing a format.
-
-    Multiplication computes the exact double-width product, then
-    rescales back to the operand format with round-to-nearest-even.
-    """
-    if a.format != b.format:
-        raise ValueError(f"format mismatch: {a.format} vs {b.format}")
-    fmt = a.format
-    if kind == "add":
-        raw = a.raw + b.raw
-    elif kind == "sub":
-        raw = a.raw - b.raw
-    elif kind == "mul":
-        raw = _rshift_round_even(a.raw * b.raw, fmt.frac_bits)
-    else:
-        raise ValueError(f"unknown arithmetic kind: {kind!r}")
-    return FixedValue(saturate(raw, fmt), fmt)
 
 
 def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
@@ -173,21 +106,10 @@ def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
     return ShiftAddApprox(tuple(terms))
 
 
-def apply_shift_add(x: FixedValue, a: ShiftAddApprox) -> FixedValue:
-    """Multiply by a CSD constant using arithmetic shifts only.
-
-    Each partial is x >> shift with floor semantics (what a hardware
-    arithmetic shifter does); the signed sum saturates to x's format.
-    """
-    acc = 0
-    for sign, shift in a.terms:
-        acc += sign * (x.raw >> shift)
-    return FixedValue(saturate(acc, x.format), x.format)
-
-
 # ---------------------------------------------------------------------------
-# Vectorized raw-integer helpers used by the bit-accurate pipeline.
-# Same semantics as the scalar operations, on int64 arrays or word_dtype's int32.
+# Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64
+# arrays or word_dtype's int32.  Same semantics as the scalar oracles of the
+# same names in tests/oracles.py, which the property tests compare against.
 
 
 def word_dtype(bound: int) -> np.dtype:

@@ -386,10 +386,10 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
 def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
     """Radix-2^2 delay-feedback FFT over a batch of frames.
 
-    Inputs are (n_frames, N): real samples in float mode, raw integers
-    in fixed mode (else UnsupportedFormat).  Output is in natural bin
-    order.  Fixed mode has a total gain of 1/N from the per-stage halving,
-    runs on int32 words up to 16 bits and returns int64.
+    Inputs are (n_frames, N): real samples in float mode, raw words of the
+    sample format in fixed mode (else UnsupportedFormat).  Output is in
+    natural bin order.  Fixed mode has a total gain of 1/N from the per-stage
+    halving, runs on int32 words up to 16 bits and returns int64.
     """
     n = frames_re.shape[1]
     if n not in ALLOWED_FFT_SIZES:
@@ -399,16 +399,11 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
         return out.real, out.imag
     if not all(np.issubdtype(f.dtype, np.integer) for f in (frames_re, frames_im)):
         raise UnsupportedFormat(f"fixed mode takes raw integer frames, got {frames_re.dtype} and {frames_im.dtype}")
-    return _fft_r22_fixed(frames_re, frames_im, cfg.sample_format)
-
-
-def dft_reference(frame: np.ndarray) -> np.ndarray:
-    """Direct O(N^2) DFT in double precision; the exactness oracle."""
-    x = np.asarray(frame, dtype=np.complex128)
-    n = len(x)
-    k = np.arange(n)
-    m = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return m @ x
+    fmt = cfg.sample_format
+    for f in (frames_re, frames_im):  # the int32 proof of _fft_r22_fixed assumes words in fmt
+        if f.size and (f.min() < fmt.raw_min or f.max() > fmt.raw_max):
+            raise UnsupportedFormat(f"fixed mode takes raw words in [{fmt.raw_min}, {fmt.raw_max}], got {f.min()}..{f.max()}")
+    return _fft_r22_fixed(frames_re, frames_im, fmt)
 
 
 def power_spectrum(spec_re: np.ndarray, spec_im: np.ndarray, cfg: PipelineConfig) -> np.ndarray:

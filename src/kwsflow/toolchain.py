@@ -185,7 +185,6 @@ def run_simulation(
     workdir: str | Path,
     timeout: float = 60.0,
     iverilog: str = "iverilog",
-    vvp: str = "vvp",
 ) -> ToolReport:
     """Compile with Icarus Verilog and run the testbench binary."""
     wd = Path(workdir)
@@ -196,7 +195,7 @@ def run_simulation(
     if report.status != "pass":
         return report
     # vvp's exit code is ignored: the testbench's PASS/FAIL lines decide
-    return run_command([vvp, "sim.vvp"], wd, timeout, parse_simulation_output)
+    return run_command(["vvp", "sim.vvp"], wd, timeout, parse_simulation_output)
 
 
 def run_synthesis(
@@ -204,7 +203,6 @@ def run_synthesis(
     workdir: str | Path,
     liberty: str | None = None,
     timeout: float = 120.0,
-    yosys: str = "yosys",
     top: str | None = None,
 ) -> ToolReport:
     """Synthesize to a gate-level netlist with Yosys and count cells."""
@@ -219,7 +217,7 @@ def run_synthesis(
     lines.append("stat")
     lines.append("write_verilog netlist.v")
     (wd / "synth.ys").write_text("\n".join(lines) + "\n")
-    return run_command([yosys, "-s", "synth.ys"], wd, timeout, parse_synthesis_output, "yosys")
+    return run_command(["yosys", "-s", "synth.ys"], wd, timeout, parse_synthesis_output, "yosys")
 
 
 def run_sta(
@@ -228,7 +226,6 @@ def run_sta(
     liberty: str,
     workdir: str | Path,
     timeout: float = 60.0,
-    opensta: str = "sta",
 ) -> ToolReport:
     """Worst-slack query through OpenSTA."""
     wd = Path(workdir)
@@ -243,7 +240,7 @@ def run_sta(
         "exit",
     ]) + "\n"
     (wd / "sta.tcl").write_text(script)
-    return run_command([opensta, "-exit", "sta.tcl"], wd, timeout, parse_sta_output, "sta")
+    return run_command(["sta", "-exit", "sta.tcl"], wd, timeout, parse_sta_output, "sta")
 
 
 def tool_available(binary: str) -> bool:

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from kwsflow.corpus import corpus_signals
 from kwsflow.dse import (
     DesignPoint,
     cost_model,
@@ -27,7 +28,6 @@ from kwsflow.frontend import (
     ALLOWED_FFT_SIZES,
     PipelineConfig,
     PreemphasisConfig,
-    dft_reference,
     fft_r22sdf,
     mel_map,
     mfcc_pipeline,
@@ -42,6 +42,7 @@ from kwsflow.toolchain import (
     parse_synthesis_output,
     tool_available,
 )
+from oracles import dft_reference
 
 
 # 1. Mel scale anchors and invertibility.
@@ -155,10 +156,8 @@ def test_acceptance_cost_model_ratios():
 # 7. More bits never increase the corpus-averaged spectrogram error.
 
 def test_acceptance_bitwidth_monotonicity():
-    from kwsflow.dse import _BundledCorpus
-
     t0 = time.monotonic()
-    corpus = _BundledCorpus().at_rate(8000)
+    corpus = corpus_signals(8000)
     p = DesignPoint(window_policy="single_shift")
     dists = []
     for b in (5, 7, 9, 11):

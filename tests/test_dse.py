@@ -60,9 +60,7 @@ def test_bandwidth_low_tone_allows_4khz():
 
 
 def test_bandwidth_bundled_needs_8khz():
-    from kwsflow.dse import _BundledCorpus
-
-    assert select_bandwidth(_BundledCorpus().native()) == 8000
+    assert select_bandwidth(corpus_signals(44100)) == 8000
 
 
 def test_bandwidth_high_tone_forces_native_rate():
@@ -71,9 +69,7 @@ def test_bandwidth_high_tone_forces_native_rate():
 
 
 def test_bitwidth_bundled_is_7():
-    from kwsflow.dse import _BundledCorpus
-
-    assert select_bitwidth(_BundledCorpus().at_rate(8000), DesignPoint()) == 7
+    assert select_bitwidth(corpus_signals(8000), DesignPoint()) == 7
 
 
 def test_bitwidth_single_strong_tone_is_cheap():
@@ -87,9 +83,7 @@ def test_alpha_zero_mean_tone_picks_smallest_k():
 
 
 def test_alpha_bundled_is_5():
-    from kwsflow.dse import _BundledCorpus
-
-    assert select_alpha(_BundledCorpus().at_rate(8000), DesignPoint()) == 5
+    assert select_alpha(corpus_signals(8000), DesignPoint()) == 5
 
 
 def test_alpha_silence_is_degenerate():
@@ -112,9 +106,7 @@ def test_window_policy_exact_alone_feasible():
 
 
 def test_fft_size_thresholds():
-    from kwsflow.dse import _BundledCorpus
-
-    corpus = _BundledCorpus().at_rate(8000)
+    corpus = corpus_signals(8000)
     p = DesignPoint()
     assert select_fft_size(corpus, p) == 32
     assert select_fft_size(corpus, p, loss_max=10.0) == 16
@@ -123,9 +115,7 @@ def test_fft_size_thresholds():
 
 
 def test_mel_shape_thresholds():
-    from kwsflow.dse import _BundledCorpus
-
-    corpus = _BundledCorpus().at_rate(8000)
+    corpus = corpus_signals(8000)
     p = DesignPoint(window_policy="single_shift")
     assert select_mel_shape(corpus, p) == "rectangular"
     assert select_mel_shape(corpus, p, delta_max=0.0) == "triangular"
@@ -139,14 +129,14 @@ def test_top_peak_bins():
     row[3] = 10.0
     row[8] = 6.0
     row[12] = 1.0  # below a quarter of the max
-    assert top_peak_bins(row) == [3, 8]
+    assert top_peak_bins(row[np.newaxis])[0].tolist() == [3, 8, -1]
 
 
 def test_top_peak_bins_limits_to_three():
     row = np.zeros(17)
     for b, v in ((2, 9.0), (5, 8.0), (9, 7.0), (13, 6.0)):
         row[b] = v
-    assert top_peak_bins(row) == [2, 5, 9]
+    assert top_peak_bins(row[np.newaxis])[0].tolist() == [2, 5, 9]
 
 
 def test_cost_model_reference_point_is_unity():
@@ -223,9 +213,7 @@ def _metrics(power, area, err):
 
 
 def test_evaluate_point_error_shrinks_with_bits():
-    from kwsflow.dse import _BundledCorpus
-
-    corpus = _BundledCorpus().at_rate(8000)
+    corpus = corpus_signals(8000)
     lo = evaluate_point(DesignPoint(bit_width=5), corpus)
     hi = evaluate_point(DesignPoint(bit_width=9), corpus)
     assert hi.spectro_error < lo.spectro_error

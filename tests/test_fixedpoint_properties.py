@@ -9,20 +9,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kwsflow.fixedpoint import (  # noqa: E402
-    FixedValue,
     QFormat,
     ShiftAddApprox,
-    _rshift_round_even,
-    apply_shift_add,
-    fx_arith,
     mul_raw_array,
-    quantize,
     quantize_array,
     rshift_round_even_array,
-    saturate,
     saturate_array,
     shift_add_planes,
     shift_add_raw_array,
+)
+from oracles import (  # noqa: E402
+    FixedValue,
+    _rshift_round_even,
+    apply_shift_add,
+    fx_arith,
+    quantize,
+    saturate,
 )
 
 

@@ -19,7 +19,6 @@ from kwsflow.frontend import (
     PreemphasisConfig,
     build_mel_filterbank,
     dct_ii,
-    dft_reference,
     fft_r22sdf,
     frame_and_window,
     log_compress,
@@ -32,6 +31,7 @@ from kwsflow.frontend import (
     window_coefficients,
 )
 from kwsflow.signal import SignalBuffer, gen_signal
+from oracles import dft_reference
 
 
 # ---------------------------------------------------------------- mel scale
@@ -217,6 +217,25 @@ def test_fft_fixed_mode_rejects_real_valued_frames():
     raw = quantize_array(x, cfg.sample_format)[None, :]
     with pytest.raises(UnsupportedFormat, match="float64"):
         fft_r22sdf(raw, np.zeros((1, n)), cfg)
+
+
+@pytest.mark.parametrize("value", [100, 2**20, 2**31, -65])
+def test_fft_fixed_mode_rejects_words_outside_the_sample_format(value):
+    # unchecked, 100 and 2^20 saturated to bin 0 = 63 and 2^31 wrapped to bin 0 = 0
+    cfg = PipelineConfig(fft_size=32, bit_width=7, mode="fixed")
+    fmt = cfg.sample_format
+    assert (fmt.raw_min, fmt.raw_max) == (-64, 63)
+    word, zero = np.full((1, 32), value, dtype=np.int64), np.zeros((1, 32), dtype=np.int64)
+    for re, im in ((word, zero), (zero, word)):
+        with pytest.raises(UnsupportedFormat, match=r"\[-64, 63\]"):
+            fft_r22sdf(re, im, cfg)
+
+
+def test_fft_fixed_mode_takes_words_at_the_format_edges():
+    cfg = PipelineConfig(fft_size=32, bit_width=7, mode="fixed")
+    edges = np.array([[-64, 63] * 16], dtype=np.int64)
+    sre, sim = fft_r22sdf(edges, edges[:, ::-1].copy(), cfg)
+    assert sre.shape == sim.shape == (1, 32)
 
 
 # ----------------------------------------------------------- power and mel
