@@ -417,13 +417,11 @@ def _corpus(corpus_dir: str | Path | None) -> tuple[str, list[SignalBuffer], Cal
         h.update(f.read_bytes())
 
     def at_rate(rate: int) -> list[SignalBuffer]:
-        out = []
         for b in buffers:
             if b.sample_rate % rate:
                 raise InvalidFactor(
                     f"cannot resample {b.sample_rate} Hz to {rate} Hz by an integer factor")
-            out.append(b if b.sample_rate == rate else decimate(b, b.sample_rate // rate))
-        return out
+        return [decimate(b, b.sample_rate // rate) for b in buffers]  # factor 1 returns b
 
     return h.hexdigest(), buffers, at_rate
 
@@ -460,6 +458,7 @@ def run_dse(corpus_dir: str | Path | None = None, config: dict | None = None) ->
     p = DesignPoint()
     try:
         rate, entry = _decide_bandwidth(native, cfg["retention_min"])
+        del native  # frees the bundled 44.1 kHz renders (1.6 MB) before the pipeline-heavy decisions
         report.decisions.append(entry)
         p = replace(p, sample_rate=rate)
         working = at_rate(rate)
