@@ -234,7 +234,7 @@ def test_fft_fixed_mode_rejects_words_outside_the_sample_format(value):
 def test_fft_fixed_mode_takes_words_at_the_format_edges():
     cfg = PipelineConfig(fft_size=32, bit_width=7, mode="fixed")
     edges = np.array([[-64, 63] * 16], dtype=np.int64)
-    sre, sim = fft_r22sdf(edges, edges[:, ::-1].copy(), cfg)
+    sre, sim = fft_r22sdf(edges, edges[:, ::-1], cfg)
     assert sre.shape == sim.shape == (1, 32)
 
 
