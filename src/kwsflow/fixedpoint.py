@@ -108,8 +108,8 @@ def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
 
 # ---------------------------------------------------------------------------
 # Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64
-# arrays or word_dtype's int32.  Same semantics as the scalar oracles of the
-# same names in tests/oracles.py, which the property tests compare against.
+# arrays or word_dtype's int32.  Same semantics as the scalar oracles in
+# tests/oracles.py, which the property tests compare them against.
 
 
 def word_dtype(bound: int) -> np.dtype:
