@@ -740,6 +740,33 @@ def test_remote_reflect_verdicts(canned_server):
     assert v.kind == "revise" and v.proposal.params == {"rev": 1}
 
 
+def test_remote_request_bodies(canned_server):
+    url, handler = canned_server
+    r = RemoteReasoner(url, model="m1", backoff_s=0.01)
+    handler.responses += [(200, _fenced(_proposal(0))), (200, _fenced({"kind": "abort"}))]
+    context = {"stage": "rtl", "iteration": 2, "artifacts": {"b.v": "d2", "a.v": "d1"}}
+    r.propose(context)
+    r.reflect(context, _fail("x"))
+    assert [q["body"] for q in handler.requests] == [
+        {"model": "m1", "messages": [
+            {"role": "system",
+             "content": 'Reply with exactly one fenced JSON block: '
+                        '{"writes": {path: text}, "params": {}, "rationale": ""}.'},
+            {"role": "user",
+             "content": '{"artifacts": {"a.v": "d1", "b.v": "d2"}, "iteration": 2, "stage": "rtl"}'},
+        ]},
+        {"model": "m1", "messages": [
+            {"role": "system",
+             "content": 'Reply with exactly one fenced JSON block: '
+                        '{"kind": "accept"|"revise"|"abort", "proposal": {...}, "reason": ""}.'},
+            {"role": "user",
+             "content": '{"context": {"artifacts": {"a.v": "d1", "b.v": "d2"}, "iteration": 2, '
+                        '"stage": "rtl"}, "report": {"cell_count": null, "failures": ["x"], '
+                        '"raw_capture": "", "status": "fail", "worst_slack_ns": null}}'},
+        ]},
+    ]
+
+
 def test_remote_rejects_accept_on_failing_report(canned_server):
     url, handler = canned_server
     r = RemoteReasoner(url, backoff_s=0.01)

@@ -91,6 +91,16 @@ def test_parsers_are_total_on_fuzz_input():
             )
 
 
+@pytest.mark.parametrize("parse, failure", [
+    (parse_simulation_output, "no TEST PASS/FAIL line found"),
+    (parse_synthesis_output, "no 'Number of cells:' line found"),
+    (parse_sta_output, "no 'worst slack' line found"),
+], ids=["simulation", "synthesis", "sta"])
+def test_parse_error_names_the_missing_line(parse, failure):
+    assert parse(b"noise\xff") == ToolReport(status="parse_error", failures=(failure,),
+                                              raw_capture="noise\ufffd")
+
+
 def test_parsers_accept_bytes():
     assert parse_simulation_output(b"TEST PASS\n").status == "pass"
     assert parse_simulation_output(b"\xff\xfe junk").status == "parse_error"
