@@ -30,6 +30,7 @@ from .errors import (
     check_fields,
 )
 from .frontend import (
+    ENERGY_FLOOR,
     PIPELINE_RULES,
     MelShape,
     PipelineConfig,
@@ -53,8 +54,6 @@ WINDOW_CANDIDATES: tuple[WindowPolicy, ...] = (
 FFT_CANDIDATES = (16, 32, 64, 128, 256)
 
 REFERENCE_FFT = 256
-# one LSB of the reference energy word; frames below this are silence
-ENERGY_FLOOR = 2.0 ** -12
 
 # default criterion thresholds; run_dse's config may override any of them
 THRESHOLDS = {

@@ -285,8 +285,14 @@ class RemoteReasoner:
             raise SchemaViolation(f"chat content must be text, got {type(content).__name__}")
         return content
 
-    def _round_trip(self, messages: list[dict], parse):
-        """parse(payload) of the first reply that parses; schema errors retry."""
+    def _round_trip(self, reply_shape: str, request: dict, parse):
+        """parse(payload) of the first reply that parses; schema errors retry.
+
+        The system message asks for one fenced block shaped as reply_shape;
+        the user message is request as sorted JSON.
+        """
+        messages = [{"role": "system", "content": f"Reply with exactly one fenced JSON block: {reply_shape}."},
+                    {"role": "user", "content": json.dumps(request, sort_keys=True)}]
         last: Exception | None = None
         for attempt in range(self.RETRIES):
             try:
@@ -303,24 +309,12 @@ class RemoteReasoner:
         raise RemoteProtocolError(f"endpoint failed after {self.RETRIES} attempts: {last}")
 
     def propose(self, context: dict) -> Proposal:
-        messages = [
-            {"role": "system",
-             "content": "Reply with exactly one fenced JSON block: "
-                        '{"writes": {path: text}, "params": {}, "rationale": ""}.'},
-            {"role": "user", "content": json.dumps(context, sort_keys=True)},
-        ]
-        return self._round_trip(messages, Proposal.from_dict)
+        return self._round_trip('{"writes": {path: text}, "params": {}, "rationale": ""}',
+                                context, Proposal.from_dict)
 
     def reflect(self, context: dict, report: ToolReport) -> Verdict:
-        messages = [
-            {"role": "system",
-             "content": "Reply with exactly one fenced JSON block: "
-                        '{"kind": "accept"|"revise"|"abort", "proposal": {...}, '
-                        '"reason": ""}.'},
-            {"role": "user", "content": json.dumps(
-                {"context": context, "report": report.as_dict()}, sort_keys=True)},
-        ]
-        verdict = self._round_trip(messages, _parse_verdict)
+        verdict = self._round_trip('{"kind": "accept"|"revise"|"abort", "proposal": {...}, "reason": ""}',
+                                   {"context": context, "report": report.as_dict()}, _parse_verdict)
         if verdict.kind == "accept" and report.status != "pass":
             raise SchemaViolation("accept verdict on a non-passing report")
         return verdict
@@ -468,6 +462,8 @@ def _build_adapter(stage_cfg: dict, stage: str, skip: int = 0):
         mock = MockAdapter.from_file(stage_cfg["scenario"])
         mock.calls = skip  # scenario entries consumed before a resume
         return mock
+    # the tools' own defaults apply unless the stage sets timeout_s
+    limit = {"timeout": stage_cfg["timeout_s"]} if "timeout_s" in stage_cfg else {}
 
     if stage == "rtl":
         def sim_adapter(proposal: Proposal, workdir: Path) -> ToolReport:
@@ -477,20 +473,16 @@ def _build_adapter(stage_cfg: dict, stage: str, skip: int = 0):
             if not tbs:
                 return ToolReport(status="compile_error",
                                   failures=("proposal contains no testbench",))
-            return run_simulation(rtl, tbs[0], workdir,
-                                  timeout=stage_cfg.get("timeout_s", 60.0))
+            return run_simulation(rtl, tbs[0], workdir, **limit)
         return sim_adapter
 
     def synth_adapter(proposal: Proposal, workdir: Path) -> ToolReport:
         rtl = sorted(f for f in proposal.writes if f.endswith(".v"))
-        report = run_synthesis(rtl, workdir,
-                               liberty=stage_cfg.get("liberty"),
-                               timeout=stage_cfg.get("timeout_s", 120.0))
+        report = run_synthesis(rtl, workdir, liberty=stage_cfg.get("liberty"), **limit)
         if report.status != "pass":
             return report
         if stage_cfg.get("liberty") and stage_cfg.get("sdc"):
-            sta = run_sta("netlist.v", stage_cfg["sdc"], stage_cfg["liberty"],
-                          workdir, timeout=stage_cfg.get("timeout_s", 60.0))
+            sta = run_sta("netlist.v", stage_cfg["sdc"], stage_cfg["liberty"], workdir, **limit)
             if sta.status != "pass":  # the parser passes only slack >= 0
                 return sta
             return ToolReport(status="pass", cell_count=report.cell_count,

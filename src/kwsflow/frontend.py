@@ -75,6 +75,11 @@ MEL_BREAK_HZ = 700.0
 # MSB-plus-interpolated-fraction scheme, enough integer range for any
 # energy format used here.
 LOG_FORMAT = QFormat(12, 4)
+# Energy floor of the log stage, and the DSE's silence threshold.  A fixed
+# constant rather than one LSB of the current energy format: the floor
+# belongs to the comparison metric, so it must not move when candidate bit
+# widths change.  2^-12 is one LSB of the 7-bit reference energy format.
+ENERGY_FLOOR = 2.0 ** -12
 _LOG_LUT = np.array([math.log2(1 + i / 16) for i in range(17)])
 
 
@@ -126,16 +131,6 @@ class PipelineConfig:
         frac = 2 * (self.bit_width - 1)
         return QFormat(min(32, frac + 2 + 5), frac)
 
-    @property
-    def log_floor(self) -> float:
-        """Energy floor for the log stage.
-
-        A fixed constant rather than one LSB of the current energy
-        format: the floor belongs to the comparison metric, so it must
-        not move when candidate bit widths change.  2^-12 is one LSB of
-        the 7-bit reference energy format.
-        """
-        return 2.0 ** -12
 
 
 @dataclass(frozen=True)
@@ -495,17 +490,16 @@ def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig)
 
 
 def log_compress(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
-    """Base-2 log with a fixed floor (cfg.log_floor).
+    """Base-2 log with a fixed floor (ENERGY_FLOOR).
 
     Float mode is log2(max(e, eps)).  Fixed mode finds the MSB position
     and interpolates the fraction linearly from a 16-entry log table,
     rounding the result to 4 fraction bits.
     """
-    eps = cfg.log_floor
     if cfg.mode == "float":
-        return np.log2(np.maximum(energies, eps))
+        return np.log2(np.maximum(energies, ENERGY_FLOOR))
     efmt = cfg.energy_format
-    floor_raw = max(1, int(round(eps * (1 << efmt.frac_bits))))
+    floor_raw = max(1, int(round(ENERGY_FLOOR * (1 << efmt.frac_bits))))
     e = np.maximum(np.asarray(energies, dtype=np.int64), floor_raw)
     # frexp is exact on integers below 2^53: e = mant * 2^exp, mant in [0.5, 1)
     msb = np.frexp(e.astype(np.float64))[1].astype(np.int64) - 1

@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import re
-import shutil
 import signal
 import subprocess
 from dataclasses import dataclass, field
@@ -128,6 +127,11 @@ _CELLS_RE = re.compile(r"Number of cells:\s*(\d+)")
 _SLACK_RE = re.compile(r"worst slack(?:\s+\w+)?\s+(-?\d+(?:\.\d+)?)")
 
 
+def _unparsed(cap: str, line: str) -> ToolReport:
+    """parse_error for a capture that lacks the line a parser looks for."""
+    return ToolReport(status="parse_error", failures=(f"no {line} line found",), raw_capture=cap)
+
+
 def parse_simulation_output(text: bytes | str) -> ToolReport:
     """PASS/FAIL line protocol: 'TEST PASS' or 'TEST FAIL: <msg>' lines."""
     cap = _decode(text)
@@ -136,22 +140,14 @@ def parse_simulation_output(text: bytes | str) -> ToolReport:
         return ToolReport(status="fail", failures=failures, raw_capture=cap)
     if "TEST PASS" in cap:
         return ToolReport(status="pass", raw_capture=cap)
-    return ToolReport(
-        status="parse_error",
-        failures=("no TEST PASS/FAIL line found",),
-        raw_capture=cap,
-    )
+    return _unparsed(cap, "TEST PASS/FAIL")
 
 
 def parse_synthesis_output(text: bytes | str) -> ToolReport:
     cap = _decode(text)
     m = _CELLS_RE.search(cap)
     if m is None:
-        return ToolReport(
-            status="parse_error",
-            failures=("no 'Number of cells:' line found",),
-            raw_capture=cap,
-        )
+        return _unparsed(cap, "'Number of cells:'")
     return ToolReport(status="pass", cell_count=int(m.group(1)), raw_capture=cap)
 
 
@@ -159,11 +155,7 @@ def parse_sta_output(text: bytes | str) -> ToolReport:
     cap = _decode(text)
     m = _SLACK_RE.search(cap)
     if m is None:
-        return ToolReport(
-            status="parse_error",
-            failures=("no 'worst slack' line found",),
-            raw_capture=cap,
-        )
+        return _unparsed(cap, "'worst slack'")
     slack = float(m.group(1))
     if slack < 0:
         return ToolReport(
@@ -241,10 +233,6 @@ def run_sta(
     ]) + "\n"
     (wd / "sta.tcl").write_text(script)
     return run_command(["sta", "-exit", "sta.tcl"], wd, timeout, parse_sta_output, "sta")
-
-
-def tool_available(binary: str) -> bool:
-    return shutil.which(binary) is not None
 
 
 # ---------------------------------------------------------------------------

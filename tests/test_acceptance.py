@@ -11,6 +11,7 @@ AIEDA_ENABLE_REAL_TOOLS=1 and the tools are installed.
 import json
 import os
 import random
+import shutil
 import time
 
 import numpy as np
@@ -40,7 +41,6 @@ from kwsflow.toolchain import (
     parse_simulation_output,
     parse_sta_output,
     parse_synthesis_output,
-    tool_available,
 )
 from oracles import dft_reference
 
@@ -242,9 +242,9 @@ def test_acceptance_parser_totality_fuzz():
 
 _REAL = (
     os.environ.get("AIEDA_ENABLE_REAL_TOOLS") == "1"
-    and tool_available("iverilog")
-    and tool_available("vvp")
-    and tool_available("yosys")
+    and shutil.which("iverilog")
+    and shutil.which("vvp")
+    and shutil.which("yosys")
 )
 
 

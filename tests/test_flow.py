@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import http.client
+import inspect
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -362,6 +363,23 @@ def test_synthesis_adapter_keeps_cell_count_at_zero_slack(tmp_path, monkeypatch)
     assert report.status == "pass"
     assert report.cell_count == 42
     assert report.worst_slack_ns == 0.0
+
+
+@pytest.mark.parametrize("stage_cfg, timeouts", [
+    ({}, [60.0, 120.0, 60.0]), ({"timeout_s": 5}, [5, 5, 5])], ids=["tool-defaults", "stage-timeout"])
+def test_real_adapters_give_every_tool_the_stage_timeout(tmp_path, monkeypatch,
+                                                         stage_cfg, timeouts):
+    seen = []
+    for name, report in (("run_simulation", _pass()), ("run_synthesis", _pass()),
+                         ("run_sta", ToolReport(status="pass", worst_slack_ns=0.0))):
+        default = inspect.signature(getattr(flow, name)).parameters["timeout"].default
+        monkeypatch.setattr(flow, name, lambda *a, _d=default, _r=report, **k:
+                            seen.append(k.get("timeout", _d)) or _r)
+    writes = {"top.v": "", "top_tb.v": ""}
+    flow._build_adapter(stage_cfg, "rtl")(Proposal(writes=writes), tmp_path)
+    synth_cfg = {**stage_cfg, "liberty": "cells.lib", "sdc": "top.sdc"}
+    flow._build_adapter(synth_cfg, "synthesis")(Proposal(writes=writes), tmp_path)
+    assert seen == timeouts
 
 
 def test_rtl_adapter_takes_only_tb_suffix_as_testbench(tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from kwsflow.errors import (
 from kwsflow.fixedpoint import quantize_array
 from kwsflow.frontend import (
     ALLOWED_FFT_SIZES,
+    ENERGY_FLOOR,
     PipelineConfig,
     PreemphasisConfig,
     build_mel_filterbank,
@@ -320,7 +321,7 @@ def test_log_compress_float_matches_numpy():
     cfg = PipelineConfig(mode="float")
     x = np.array([[1.0, 2.0, 1024.0, 0.5, 0.0]])
     out = log_compress(x, cfg)
-    assert np.allclose(out, np.log2(np.maximum(x, cfg.log_floor)), atol=1e-12)
+    assert np.allclose(out, np.log2(np.maximum(x, ENERGY_FLOOR)), atol=1e-12)
 
 
 def test_log_compress_fixed_error_bound():

@@ -28,6 +28,7 @@ from kwsflow.fixedpoint import (  # noqa: E402
 )
 from kwsflow.frontend import (  # noqa: E402
     ALLOWED_FFT_SIZES,
+    ENERGY_FLOOR,
     LOG_FORMAT,
     PipelineConfig,
     _fft_dtype,
@@ -51,7 +52,7 @@ LOG_LUT = [math.log2(1 + i / 16) for i in range(17)]
 def log_compress_loop(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Fixed-mode log, one energy at a time (the former implementation)."""
     efmt = cfg.energy_format
-    floor_raw = max(1, int(round(cfg.log_floor * (1 << efmt.frac_bits))))
+    floor_raw = max(1, int(round(ENERGY_FLOOR * (1 << efmt.frac_bits))))
     flat = np.maximum(energies.reshape(-1), floor_raw)
     out = np.empty(flat.shape, dtype=np.float64)
     for i, e in enumerate(flat):
@@ -198,7 +199,7 @@ def test_log_compress_matches_loop_on_every_small_energy(bits):
 def test_log_compress_matches_loop_at_powers_of_two_and_floor(bits):
     cfg = PipelineConfig(bit_width=bits, mode="fixed")
     efmt = cfg.energy_format
-    floor_raw = max(1, int(round(cfg.log_floor * (1 << efmt.frac_bits))))
+    floor_raw = max(1, int(round(ENERGY_FLOOR * (1 << efmt.frac_bits))))
     edges = {0, floor_raw - 1, floor_raw, floor_raw + 1, efmt.raw_max}
     for k in range(efmt.total_bits):
         edges.update(((1 << k) - 1, 1 << k, (1 << k) + 1))

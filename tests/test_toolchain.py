@@ -1,6 +1,7 @@
 """Tool output parsers (total functions), mock adapter, runner plumbing."""
 
 import os
+import shutil
 import stat
 import subprocess
 import time
@@ -16,7 +17,6 @@ from kwsflow.toolchain import (
     parse_synthesis_output,
     run_command,
     run_simulation,
-    tool_available,
     write_fifo_fixture,
 )
 
@@ -217,14 +217,9 @@ def test_fifo_fixture_files_exist(tmp_path):
     assert "module" in rtl
 
 
-def test_tool_available_known_binary():
-    assert tool_available("sh") is True
-    assert tool_available("definitely-not-a-real-eda-tool") is False
-
-
 # ----------------------------------------------- real tools (when installed)
 
-_HAVE_SIM = tool_available("iverilog") and tool_available("vvp")
+_HAVE_SIM = shutil.which("iverilog") and shutil.which("vvp")
 
 
 @pytest.mark.skipif(not _HAVE_SIM, reason="iverilog/vvp not installed")
