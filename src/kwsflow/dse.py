@@ -179,8 +179,11 @@ def top_peak_bins(power: np.ndarray, max_peaks: int = 3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _retention(corpus, rate: int) -> float:
-    """Mean share of signal power below the Nyquist frequency of rate."""
-    return float(np.mean([band_power_fraction(s, rate / 2) for s in corpus]))
+    """Mean share of signal power below the Nyquist frequency of rate.
+
+    A rate at or above a signal's own keeps all of that signal's power.
+    """
+    return float(np.mean([band_power_fraction(s, min(rate, s.sample_rate) / 2) for s in corpus]))
 
 
 def _peak_stability(corpus, p: DesignPoint) -> tuple[bool, float]:

@@ -266,6 +266,17 @@ def test_run_dse_wav_directory_needs_an_integer_decimation_factor(tmp_path):
     assert [d["parameter"] for d in exc.value.report.decisions] == ["sample_rate"]
 
 
+@pytest.mark.parametrize("rate, whole", [(8000, [8000, 16000, 44100]), (16000, [16000, 44100])])
+def test_run_dse_wav_directory_below_the_top_candidate_rate(tmp_path, rate, whole):
+    # the bandwidth walk is exhaustive: candidates at or above the corpus's
+    # own rate keep all of its power instead of asking for a cutoff past Nyquist
+    _write_corpus(tmp_path, rate)
+    report = run_dse(corpus_dir=tmp_path)
+    assert report.chosen_point.sample_rate == 8000
+    assert len(report.decisions) == 6
+    assert [c["value"] for c in report.decisions[0]["candidates"] if c["retention"] == 1.0] == whole
+
+
 def test_run_dse_empty_directory(tmp_path):
     with pytest.raises(FileNotFoundError):
         run_dse(corpus_dir=tmp_path)
