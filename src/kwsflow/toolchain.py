@@ -255,7 +255,10 @@ class MockAdapter:
                 and isinstance(d.get("raw_capture", ""), str) for d in data):
             raise ConfigInvalid(f"scenario {path} must be a list of report objects whose "
                                 "failures are lists of strings and raw_capture a string")
+        known = {*REPORT_RULES, "failures", "raw_capture"}
         for d in data:
+            if unknown := sorted(d.keys() - known):
+                raise ConfigInvalid(f"unknown scenario {path} report key(s) {unknown}; known: {sorted(known)}")
             check_fields({k: d[k] for k in REPORT_RULES if k in d and (k == "status" or d[k] is not None)},
                          REPORT_RULES, f"scenario {path} report")
         try:

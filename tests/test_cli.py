@@ -259,7 +259,8 @@ def test_flow_misspelt_scenario_status_or_script_stage_exits_two(
     ({"status": "pass", "cell_count": "many"}, "cell_count"),
     ({"status": "pass", "worst_slack_ns": "0.1"}, "worst_slack_ns"),
     ({"status": "pass", "failures": ["x"]}, "cannot carry failures"),
-], ids=["cell-count", "slack", "passing-with-failures"])
+    ({"status": "pass", "cell_cout": 3}, "'cell_cout'"),
+], ids=["cell-count", "slack", "passing-with-failures", "unknown-key"])
 def test_flow_mistyped_scenario_report_exits_two(tmp_path, capsys, report, named):
     scen, script, cfg = tmp_path / "scen.json", tmp_path / "script.json", tmp_path / "flow.json"
     scen.write_text(json.dumps([report]))
