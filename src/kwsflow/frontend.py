@@ -132,7 +132,6 @@ class PipelineConfig:
         return QFormat(min(32, frac + 2 + 5), frac)
 
 
-
 @dataclass(frozen=True)
 class MelFilterbank:
     weights: np.ndarray  # (n_mel, N/2 + 1)
