@@ -737,6 +737,21 @@ def _fenced(obj):
     return "Here you go:\n```json\n" + json.dumps(obj) + "\n```\n"
 
 
+@pytest.mark.parametrize("text, payload", [
+    (_fenced({"a": 1}), {"a": 1}),
+    (_fenced({"a": 1}) + _fenced({"b": 2}), None),
+    (_fenced({"a": 1}) + "```\nnever closed\n", {"a": 1}),
+    ('  ```json\n  {"a": [1,\n 2]}\n\t```  \n', {"a": [1, 2]}),
+    ('{"a": 1}\n', None),
+], ids=["one-block", "two-blocks", "unpaired-fence-after", "indented-fences", "no-fence"])
+def test_extract_fenced_json(text, payload):
+    if payload is None:
+        with pytest.raises(SchemaViolation):
+            flow._extract_fenced_json(text)
+    else:
+        assert flow._extract_fenced_json(text) == payload
+
+
 def test_remote_propose_parses_fenced_block(canned_server, monkeypatch):
     url, handler = canned_server
     monkeypatch.setenv("AIEDA_LLM_API_KEY", "sk-test")
