@@ -58,8 +58,7 @@ class Proposal:
         return _canonical_digest(self.as_dict())
 
     def as_dict(self) -> dict:
-        return {"writes": self.writes, "params": self.params,
-                "rationale": self.rationale}
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Proposal":
@@ -101,25 +100,10 @@ class ActionRecord:
     wall_time: float
 
     def as_dict(self, include_wall_time: bool = True) -> dict:
-        d = {
-            "stage": self.stage,
-            "iteration": self.iteration,
-            "proposal_digest": self.proposal_digest,
-            "report_digest": self.report_digest,
-            "verdict": self.verdict,
-        }
-        if include_wall_time:
-            d["wall_time"] = self.wall_time
+        d = dict(vars(self))
+        if not include_wall_time:
+            del d["wall_time"]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ActionRecord":
-        return cls(
-            stage=d["stage"], iteration=d["iteration"],
-            proposal_digest=d["proposal_digest"],
-            report_digest=d["report_digest"],
-            verdict=d["verdict"], wall_time=d.get("wall_time", 0.0),
-        )
 
 
 @dataclass
@@ -145,7 +129,7 @@ class FlowState:
         st = cls(
             statuses=dict(d["statuses"]),
             paths=dict(d["paths"]),
-            history=[ActionRecord.from_dict(r) for r in d["history"]],
+            history=[ActionRecord(**r) for r in d["history"]],
         )
         if d.get("pending_proposal"):
             st.pending_proposal = Proposal.from_dict(d["pending_proposal"])
@@ -218,18 +202,9 @@ class ScriptedReasoner:
 
 def _extract_fenced_json(text: str) -> dict:
     """The single fenced JSON block a remote reply must contain."""
-    blocks = []
     lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        if lines[i].strip().startswith("```"):
-            j = i + 1
-            while j < len(lines) and not lines[j].strip().startswith("```"):
-                j += 1
-            if j < len(lines):
-                blocks.append("\n".join(lines[i + 1:j]))
-                i = j
-        i += 1
+    fences = [i for i, line in enumerate(lines) if line.strip().startswith("```")]
+    blocks = ["\n".join(lines[i + 1:j]) for i, j in zip(fences[::2], fences[1::2])]
     if len(blocks) != 1:
         raise SchemaViolation(f"expected exactly one fenced block, got {len(blocks)}")
     try:

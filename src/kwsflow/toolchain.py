@@ -16,7 +16,7 @@ import os
 import re
 import signal
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -53,23 +53,12 @@ class ToolReport:
         return _canonical_digest(self.as_dict())
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "failures": list(self.failures),
-            "cell_count": self.cell_count,
-            "worst_slack_ns": self.worst_slack_ns,
-            "raw_capture": self.raw_capture,
-        }
+        return {**vars(self), "failures": list(self.failures)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToolReport":
-        return cls(
-            status=str(d.get("status", "parse_error")),
-            failures=tuple(str(f) for f in d.get("failures", [])),
-            cell_count=d.get("cell_count"),
-            worst_slack_ns=d.get("worst_slack_ns"),
-            raw_capture=str(d.get("raw_capture", "")),
-        )
+        """A report from its as_dict form; a missing status reads as parse_error."""
+        return cls(**{"status": "parse_error", **d, "failures": tuple(d.get("failures", ()))})
 
 
 def _decode(data: bytes | str) -> str:
@@ -255,7 +244,7 @@ class MockAdapter:
                 and isinstance(d.get("raw_capture", ""), str) for d in data):
             raise ConfigInvalid(f"scenario {path} must be a list of report objects whose "
                                 "failures are lists of strings and raw_capture a string")
-        known = {*REPORT_RULES, "failures", "raw_capture"}
+        known = {f.name for f in fields(ToolReport)}
         for d in data:
             if unknown := sorted(d.keys() - known):
                 raise ConfigInvalid(f"unknown scenario {path} report key(s) {unknown}; known: {sorted(known)}")

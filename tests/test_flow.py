@@ -416,6 +416,10 @@ def test_checkpoint_config_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ck.json", other)
 
 
+_RECORD = {"stage": "rtl", "iteration": 0, "proposal_digest": "p", "report_digest": "r",
+           "verdict": "revise"}
+
+
 @pytest.mark.parametrize("text, state", [
     ("{ truncated", None),
     ("[]", None),
@@ -427,8 +431,12 @@ def test_checkpoint_config_mismatch(tmp_path):
                          "physical": "pending"}}),
     (None, {"statuses": {"architecture": "passed", "rtl": "bogus",
                          "synthesis": "pending", "physical": "pending"}}),
+    # every writer puts all six keys in a history record, wall_time included
+    (None, {"history": [_RECORD]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, note="x")]}),
 ], ids=["truncated", "list", "string", "statuses_string", "proposal_string",
-        "statuses_missing_stage", "statuses_unknown_value"])
+        "statuses_missing_stage", "statuses_unknown_value", "record_missing_wall_time",
+        "record_unknown_key"])
 def test_checkpoint_corrupt(tmp_path, text, state):
     cfg = make_config(tmp_path, [_pass()])
     if text is None:

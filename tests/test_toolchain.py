@@ -125,6 +125,8 @@ def test_report_digest_stable_and_sensitive():
 def test_report_round_trips_through_dict():
     a = ToolReport(status="pass", cell_count=42, worst_slack_ns=0.5, raw_capture="z")
     assert ToolReport.from_dict(a.as_dict()) == a
+    # a missing status reads as parse_error, as README's scenario section says
+    assert ToolReport.from_dict({"failures": ["x"]}) == ToolReport(status="parse_error", failures=("x",))
 
 
 # -------------------------------------------------------------- mock adapter
