@@ -251,7 +251,8 @@ _REAL = (
 @pytest.mark.skipif(not _REAL, reason="set AIEDA_ENABLE_REAL_TOOLS=1 with "
                     "iverilog/vvp/yosys installed")
 def test_acceptance_real_toolchain(tmp_path):
-    from kwsflow.toolchain import run_simulation, run_synthesis, write_fifo_fixture
+    from fifo_fixture import write_fifo_fixture
+    from kwsflow.toolchain import run_simulation, run_synthesis
 
     files = write_fifo_fixture(tmp_path)
     sim = run_simulation(files[:1], files[1], tmp_path)

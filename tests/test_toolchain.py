@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from fifo_fixture import write_fifo_fixture
 from kwsflow.errors import ScenarioExhausted
 from kwsflow.toolchain import (
     MockAdapter,
@@ -17,7 +18,6 @@ from kwsflow.toolchain import (
     parse_synthesis_output,
     run_command,
     run_simulation,
-    write_fifo_fixture,
 )
 
 
