@@ -6,6 +6,7 @@ import pytest
 from kwsflow.errors import (
     ConfigInvalid,
     DimensionMismatch,
+    InvalidSize,
     NegativeInput,
     SignalTooShort,
     TooManyFilters,
@@ -237,6 +238,14 @@ def test_fft_fixed_mode_takes_words_at_the_format_edges():
     edges = np.array([[-64, 63] * 16], dtype=np.int64)
     sre, sim = fft_r22sdf(edges, edges[:, ::-1], cfg)
     assert sre.shape == sim.shape == (1, 32)
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+def test_fft_rejects_a_frame_length_outside_the_allowed_sizes(mode):
+    assert 48 not in ALLOWED_FFT_SIZES
+    frames = np.zeros((1, 48), dtype=np.int64)
+    with pytest.raises(InvalidSize, match="got 48"):
+        fft_r22sdf(frames, frames, PipelineConfig(mode=mode))
 
 
 # ----------------------------------------------------------- power and mel
