@@ -8,6 +8,11 @@ first that meets the criterion (the minimal feasible choice by
 construction) and logs what it measured.  run_dse chains the six
 decisions in a fixed order under THRESHOLDS, threading each choice into
 the working design point; stages interact greedily, not jointly.
+
+_peak_stability and _dc_fraction read only power, so _power stops the
+front end there.  Computed once per signal, not per candidate: the
+periodogram every rate's retention reads, and the float power of the
+bit-width walk (unless the window is csd2, whose taps depend on the width).
 """
 
 from __future__ import annotations
@@ -29,17 +34,19 @@ from .errors import (
     Rule,
     check_fields,
 )
+from .fixedpoint import to_real_array
 from .frontend import (
     ENERGY_FLOOR,
     PIPELINE_RULES,
     MelShape,
     PipelineConfig,
     WindowPolicy,
+    _power_stage,
     mfcc_pipeline,
     spectrogram_distance,
     window_coefficients,
 )
-from .signal import SignalBuffer, band_power_fraction, decimate, read_wav, spectral_leakage
+from .signal import SignalBuffer, band_power_fractions, decimate, read_wav, spectral_leakage
 
 RATE_CANDIDATES = (4000, 8000, 16000, 44100)
 BIT_CANDIDATES = tuple(range(4, 17))
@@ -178,24 +185,33 @@ def top_peak_bins(power: np.ndarray, max_peaks: int = 3) -> np.ndarray:
 # evaluate_point
 # ---------------------------------------------------------------------------
 
-def _retention(corpus, rate: int) -> float:
-    """Mean share of signal power below the Nyquist frequency of rate.
+def _power(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
+    """mfcc_pipeline(s, cfg).power, without the stages after the power spectrum."""
+    power = _power_stage(s, cfg)
+    return to_real_array(power, cfg.energy_format) if cfg.mode == "fixed" else power
+
+
+def _retention(corpus, rates) -> list[float]:
+    """Mean share of signal power below the Nyquist frequency of each rate.
 
     A rate at or above a signal's own keeps all of that signal's power.
     """
-    return float(np.mean([band_power_fraction(s, min(rate, s.sample_rate) / 2) for s in corpus]))
+    fracs = [band_power_fractions(s, [min(rate, s.sample_rate) / 2 for rate in rates]) for s in corpus]
+    return [float(np.mean([f[i] for f in fracs])) for i in range(len(rates))]
 
 
-def _peak_stability(corpus, p: DesignPoint) -> tuple[bool, float]:
+def _peak_stability(corpus, p: DesignPoint, float_powers=None) -> tuple[bool, float]:
     """Peak-set stability and worst peak-magnitude error, fixed vs float.
 
     Frames whose peak sets differ clear sets_match and add no error.
+    float_powers, if given, holds each signal's float-mode power at p.
     """
+    if float_powers is None:
+        float_powers = (_power(s, p.pipeline_config(mode="float")) for s in corpus)
     sets_match = True
     worst = 0.0
-    for s in corpus:
-        pf = mfcc_pipeline(s, p.pipeline_config(mode="float")).power
-        px = mfcc_pipeline(s, p.pipeline_config(mode="fixed")).power
+    for s, pf in zip(corpus, float_powers):
+        px = _power(s, p.pipeline_config(mode="fixed"))
         ref = top_peak_bins(pf)
         same = (np.sort(ref, axis=1) == np.sort(top_peak_bins(px), axis=1)).all(axis=1)
         sets_match = sets_match and bool(same.all())
@@ -211,7 +227,7 @@ def _dc_fraction(corpus, p: DesignPoint) -> tuple[float, float]:
     fracs = []
     total = 0.0
     for s in corpus:
-        pw = mfcc_pipeline(s, p.pipeline_config(mode="float")).power
+        pw = _power(s, p.pipeline_config(mode="float"))
         den = pw.sum(axis=1)
         total += float(den.sum())
         keep = den > 0
@@ -265,9 +281,10 @@ def _walk(criterion: str, parameter: str, threshold: float, candidates, judge,
 
 
 def _decide_bandwidth(corpus, retention_min: float):
+    retention = dict(zip(RATE_CANDIDATES, _retention(corpus, RATE_CANDIDATES)))
+
     def judge(rate):
-        retention = _retention(corpus, rate)
-        return {"retention": retention}, retention >= retention_min
+        return {"retention": retention[rate]}, retention[rate] >= retention_min
 
     return _walk("bandwidth", "sample_rate", retention_min, RATE_CANDIDATES, judge,
                  "no candidate rate retains enough band power", exhaustive=True)
@@ -278,8 +295,13 @@ def select_bandwidth(corpus, retention_min: float = THRESHOLDS["retention_min"])
 
 
 def _decide_bitwidth(corpus, p: DesignPoint, err_max: float = THRESHOLDS["err_max"]):
+    # float mode reads bit_width only through csd2 window taps, so under any
+    # other window one float power per signal serves every candidate width
+    float_powers = None if p.window_policy == "csd2" else [
+        _power(s, p.pipeline_config(mode="float")) for s in corpus]
+
     def judge(b):
-        ok_sets, worst = _peak_stability(corpus, replace(p, bit_width=b))
+        ok_sets, worst = _peak_stability(corpus, replace(p, bit_width=b), float_powers)
         return ({"peak_sets_match": ok_sets, "worst_peak_error": worst},
                 ok_sets and worst <= err_max)
 
@@ -374,7 +396,7 @@ def evaluate_point(p: DesignPoint, corpus) -> DesignMetrics:
     power, area = cost_model(p)
     return DesignMetrics(
         power_proxy=power, area_proxy=area,
-        power_retention=_retention(corpus, p.sample_rate),
+        power_retention=_retention(corpus, (p.sample_rate,))[0],
         dc_bin_fraction=_dc_fraction(corpus, p)[0], leakage=_leakage(p),
         spectro_error=_fft_loss(corpus, p), mel_shape_delta=_mel_delta(corpus, p))
 

@@ -45,6 +45,7 @@ from .toolchain import (
 SCHEMA_VERSION = 1
 STAGES = ("architecture", "rtl", "synthesis", "physical")
 STATUSES = ("pending", "running", "passed", "failed", "skipped")
+VERDICTS = ("accept", "revise", "abort")
 HISTORY_WINDOW = 4  # records shown to the reasoner
 
 
@@ -82,7 +83,7 @@ class Verdict:
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("accept", "revise", "abort"):
+        if self.kind not in VERDICTS:
             raise SchemaViolation(f"unknown verdict kind: {self.kind}")
         if self.kind == "revise" and (
                 self.proposal is None or
@@ -104,6 +105,12 @@ class ActionRecord:
         if not include_wall_time:
             del d["wall_time"]
         return d
+
+
+# ActionRecord's fields, as a checkpoint's history record must hold them
+RECORD_RULES = {"stage": Rule(str, allowed=STAGES, required=True), "iteration": Rule(int, lo=0, required=True),
+                "proposal_digest": Rule(str, required=True), "report_digest": Rule(str, required=True),
+                "verdict": Rule(str, allowed=VERDICTS, required=True), "wall_time": Rule(float, required=True)}
 
 
 @dataclass
@@ -129,7 +136,7 @@ class FlowState:
         st = cls(
             statuses=dict(d["statuses"]),
             paths=dict(d["paths"]),
-            history=[ActionRecord(**r) for r in d["history"]],
+            history=[ActionRecord(**check_fields(r, RECORD_RULES, "checkpoint record")) for r in d["history"]],
         )
         if d.get("pending_proposal"):
             st.pending_proposal = Proposal.from_dict(d["pending_proposal"])

@@ -570,8 +570,8 @@ def _plan(cfg: PipelineConfig) -> _Plan:
     return _Plan(taps, fb, dct)
 
 
-def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
-    """Run the full front end on one buffer; deterministic per config."""
+def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
+    """mfcc_pipeline's stages up to the power spectrum, raw energy words in fixed mode."""
     if s.sample_rate != cfg.sample_rate:
         raise DimensionMismatch(
             f"signal rate {s.sample_rate} != config rate {cfg.sample_rate}; decimate first"
@@ -586,10 +586,15 @@ def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
         # normalize by 1/N so both modes share one spectral scale (the
         # fixed datapath's per-stage halving has the same total gain)
         sre, sim = sre / cfg.fft_size, sim / cfg.fft_size
-    power = power_spectrum(sre, sim, cfg)
+    return power_spectrum(sre, sim, cfg)
+
+
+def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
+    """Run the full front end on one buffer; deterministic per config."""
+    power = _power_stage(s, cfg)
     log_mel = log_compress(mel_energies(power, _plan(cfg).filterbank, cfg), cfg)
     mfcc = dct_ii(log_mel, cfg)
-    if fixed:
+    if cfg.mode == "fixed":
         power = to_real_array(power, cfg.energy_format)
         log_mel = to_real_array(log_mel, LOG_FORMAT)
         mfcc = to_real_array(mfcc, LOG_FORMAT)

@@ -147,17 +147,23 @@ def _one_pole(v: np.ndarray) -> np.ndarray:
 
 def band_power_fraction(s: SignalBuffer, cutoff_hz: float) -> float:
     """Fraction of periodogram power at frequencies <= cutoff (DC included)."""
+    return band_power_fractions(s, (cutoff_hz,))[0]
+
+
+def band_power_fractions(s: SignalBuffer, cutoffs_hz) -> list[float]:
+    """band_power_fraction at each cutoff, all from one periodogram."""
     if len(s) == 0:
         raise EmptySignal("cannot measure an empty signal")
-    if not 0 < cutoff_hz <= s.sample_rate / 2:
-        raise InvalidParams(f"cutoff must be in (0, sr/2], got {cutoff_hz}")
+    for cutoff_hz in cutoffs_hz:
+        if not 0 < cutoff_hz <= s.sample_rate / 2:
+            raise InvalidParams(f"cutoff must be in (0, sr/2], got {cutoff_hz}")
     spectrum = np.fft.fft(s.samples)
     power = np.abs(spectrum) ** 2
     freqs = np.abs(np.fft.fftfreq(len(s), d=1.0 / s.sample_rate))
     total = power.sum()
     if total == 0:
-        return 1.0
-    return float(power[freqs <= cutoff_hz].sum() / total)
+        return [1.0] * len(cutoffs_hz)
+    return [float(power[freqs <= cutoff_hz].sum() / total) for cutoff_hz in cutoffs_hz]
 
 
 def decimate(s: SignalBuffer, factor: int) -> SignalBuffer:

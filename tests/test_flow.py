@@ -434,9 +434,24 @@ _RECORD = {"stage": "rtl", "iteration": 0, "proposal_digest": "p", "report_diges
     # every writer puts all six keys in a history record, wall_time included
     (None, {"history": [_RECORD]}),
     (None, {"history": [dict(_RECORD, wall_time=0.5, note="x")]}),
+    # and each value in the type and range run_flow writes it
+    (None, {"history": [{"stage": "nosuch", "iteration": "zero", "proposal_digest": 5,
+                         "report_digest": None, "verdict": "maybe", "wall_time": "slow"}]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, stage="nosuch")]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, iteration=-1)]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, iteration=True)]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, iteration=1.0)]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, proposal_digest=5)]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, report_digest=None)]}),
+    (None, {"history": [dict(_RECORD, wall_time=0.5, verdict="maybe")]}),
+    (None, {"history": [dict(_RECORD, wall_time="slow")]}),
+    (None, {"history": [dict(_RECORD, wall_time=float("nan"))]}),
 ], ids=["truncated", "list", "string", "statuses_string", "proposal_string",
         "statuses_missing_stage", "statuses_unknown_value", "record_missing_wall_time",
-        "record_unknown_key"])
+        "record_unknown_key", "record_every_value_wrong", "record_unknown_stage",
+        "record_negative_iteration", "record_bool_iteration", "record_float_iteration",
+        "record_int_digest", "record_null_digest", "record_unknown_verdict",
+        "record_string_wall_time", "record_nan_wall_time"])
 def test_checkpoint_corrupt(tmp_path, text, state):
     cfg = make_config(tmp_path, [_pass()])
     if text is None:
@@ -447,6 +462,17 @@ def test_checkpoint_corrupt(tmp_path, text, state):
     (tmp_path / "ck.json").write_text(text)
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(tmp_path / "ck.json", cfg)
+
+
+def test_checkpoint_corrupt_record_in_a_journal_line(tmp_path):
+    cfg = make_config(tmp_path, [_pass()])
+    ck = tmp_path / "ck.json"
+    save_checkpoint(FlowState(), cfg, ck)
+    line = dict(FlowState().as_dict(), history=[dict(_RECORD, wall_time=0.5, verdict="maybe")])
+    with ck.open("a") as f:
+        f.write(json.dumps(line) + "\n")
+    with pytest.raises(CheckpointCorrupt, match="verdict"):
+        load_checkpoint(ck, cfg)
 
 
 def _revise_one_file(cfg, n):
