@@ -238,7 +238,8 @@ def test_flow_malformed_scenario_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("scen_text, script_text, named", [
     ('[{"status": "pas"}]', '{"rtl": []}', "pas"),
     ('[{"status": "pass"}]', '{"rlt": []}', "rlt"),
-], ids=["report-status", "script-stage"])
+    ('[{"status": "pass"}]', '{"rtl": [{"writs": {"top.v": "x"}}]}', "writs"),
+], ids=["report-status", "script-stage", "proposal-key"])
 def test_flow_misspelt_scenario_status_or_script_stage_exits_two(
         tmp_path, capsys, scen_text, script_text, named):
     scen, script, cfg = tmp_path / "scen.json", tmp_path / "script.json", tmp_path / "flow.json"

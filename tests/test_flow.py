@@ -159,6 +159,7 @@ def test_invalid_config_rejected_before_any_side_effect(tmp_path):
         ('[{"status": "fail", "failures": "timing"}]', '{"rtl": []}', ConfigInvalid),
         ('[{"status": "pass"}]', '[{"writes": {}}]', ConfigInvalid),
         ('[{"status": "pass"}]', '{"rtl": {"writes": {}}}', ConfigInvalid),
+        ('[{"status": "pass"}]', '{"rtl": [{"writes": {"top.v": 1}}]}', ConfigInvalid),
         ('[{"status": "pas"}]', '{"rtl": []}', ConfigInvalid),
         ('[{"status": "pass"}]', '{"rlt": []}', ConfigInvalid),
         ('[{"status": "pass", "cell_count": "many"}]', '{"rtl": []}', ConfigInvalid),
@@ -210,12 +211,16 @@ def test_flow_config_key_checked_before_any_side_effect(tmp_path, path, value, m
 
 
 def test_proposal_schema_violations():
-    with pytest.raises(SchemaViolation):
-        Proposal.from_dict({"writes": "not a dict"})
-    with pytest.raises(SchemaViolation):
-        Proposal.from_dict({"writes": {"a.v": 42}})
-    with pytest.raises(SchemaViolation):
-        Proposal.from_dict([])
+    for d in (
+        {"writes": "not a dict"},
+        {"writes": {"a.v": 42}},
+        [],
+        {"writes": {"a.v": "x"}, "writs": {"b.v": "y"}},
+        {"writes": {"a.v": "x"}, "rationale": None},
+        {"writes": {"a.v": "x"}, "rationale": 5},
+    ):
+        with pytest.raises(SchemaViolation):
+            Proposal.from_dict(d)
 
 
 def test_proposal_digest_deterministic():
@@ -446,12 +451,14 @@ _RECORD = {"stage": "rtl", "iteration": 0, "proposal_digest": "p", "report_diges
     (None, {"history": [dict(_RECORD, wall_time=0.5, verdict="maybe")]}),
     (None, {"history": [dict(_RECORD, wall_time="slow")]}),
     (None, {"history": [dict(_RECORD, wall_time=float("nan"))]}),
+    # an artifact's digest is a string, as _write_artifact records it
+    (None, {"paths": {"rtl/top.v": 5}}),
 ], ids=["truncated", "list", "string", "statuses_string", "proposal_string",
         "statuses_missing_stage", "statuses_unknown_value", "record_missing_wall_time",
         "record_unknown_key", "record_every_value_wrong", "record_unknown_stage",
         "record_negative_iteration", "record_bool_iteration", "record_float_iteration",
         "record_int_digest", "record_null_digest", "record_unknown_verdict",
-        "record_string_wall_time", "record_nan_wall_time"])
+        "record_string_wall_time", "record_nan_wall_time", "paths_int_digest"])
 def test_checkpoint_corrupt(tmp_path, text, state):
     cfg = make_config(tmp_path, [_pass()])
     if text is None:
@@ -859,8 +866,9 @@ def test_remote_schema_violation_after_retries(canned_server):
     b"<html>gateway hiccup</html>",
     _fenced({"writes": {}, "params": "ab"}),
     _fenced({"writes": {}, "params": 5}),
+    _fenced(dict(_proposal(0), note="x")),
 ], ids=["content-null", "content-list", "body-not-utf8", "body-not-json", "params-str",
-        "params-int"])
+        "params-int", "unknown-key"])
 def test_remote_malformed_reply_retries_as_schema_violation(canned_server, reply):
     url, handler = canned_server
     r = RemoteReasoner(url, backoff_s=0.01)
