@@ -40,6 +40,7 @@ from .frontend import (
     PIPELINE_RULES,
     MelShape,
     PipelineConfig,
+    PreemphasisConfig,
     WindowPolicy,
     _power_stage,
     mfcc_pipeline,
@@ -323,7 +324,7 @@ def _decide_alpha(corpus, p: DesignPoint, frac_max: float = THRESHOLDS["frac_max
     choice, entry = _walk("dc_suppression", "preemphasis_k", frac_max, ALPHA_CANDIDATES,
                           judge, "no filter strength suppresses the DC bins")
     omega = 2 * math.pi * 1000 / p.sample_rate
-    alpha = 1 - 2.0 ** -choice
+    alpha = PreemphasisConfig(choice).alpha
     gain = abs(1 - alpha * complex(math.cos(omega), -math.sin(omega)))
     entry["passband_gain_1khz_db"] = 20 * math.log10(gain)
     return choice, entry

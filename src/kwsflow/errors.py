@@ -90,34 +90,39 @@ class RemoteProtocolError(KwsflowError):
 
 
 # each Rule kind: the type a value must have, and how a message names it
-_KINDS = {str: (str, "a nonempty string"), dict: (dict, "an object"),
-          int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number")}
+_KINDS = {str: (str, "a nonempty string"), "text": (str, "a string"), list: (list, "a list"),
+          dict: (dict, "an object"), int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number")}
 
 
 @dataclass(frozen=True)
 class Rule:
-    """What one config key takes: a value of kind str, dict, int or float,
-    never a bool.  A str is nonempty; a dict (an object) is checked against
-    the fields table if given; a number is finite and in lo..hi.  With
-    allowed set, only those values pass."""
+    """What one config key takes: a value of kind str, "text" (a str, maybe
+    empty), list, dict, int or float, never a bool.  A str is nonempty; a dict
+    (an object) is checked against the fields table if given; a number is
+    finite and in lo..hi.  With allowed set, only those values pass; with
+    each set, only a list whose items or an object whose values it admits."""
 
-    kind: type
+    kind: type | str
     lo: float = -math.inf
     hi: float = math.inf
     allowed: tuple = ()
     required: bool = False
     fields: dict | None = None
+    each: "Rule | None" = None
 
     def admits(self, v) -> bool:
         if not isinstance(v, _KINDS[self.kind][0]) or isinstance(v, bool) or (self.kind is str and not v):
             return False
         if self.kind in (int, float) and not (-math.inf < v < math.inf and self.lo <= v <= self.hi):
             return False  # -inf < v < inf is false for NaN too
+        if self.each is not None and not all(map(self.each.admits, v.values() if self.kind is dict else v)):
+            return False
         return not self.allowed or v in self.allowed
 
     def __str__(self) -> str:
         bounds = " and ".join(f"{op} {b}" for op, b in ((">=", self.lo), ("<=", self.hi)) if math.isfinite(b))
-        return f"one of {self.allowed}" if self.allowed else f"{_KINDS[self.kind][1]} {bounds}".rstrip()
+        text = f"one of {self.allowed}" if self.allowed else f"{_KINDS[self.kind][1]} {bounds}".rstrip()
+        return text if self.each is None else f"{text} whose every item is {self.each}"
 
 
 POSITIVE = Rule(float, lo=math.ulp(0.0))  # the least positive float: any number > 0
@@ -128,11 +133,11 @@ def check_fields(obj, rules: dict[str, Rule], where: str) -> dict:
     keys, each value admitted by its rule; ConfigInvalid naming the key if not."""
     if not isinstance(obj, dict):
         raise ConfigInvalid(f"{where} must be an object, got {obj!r}")
-    unknown = sorted(map(str, obj.keys() - rules.keys()))
-    if unknown:
+    if not obj.keys() <= rules.keys():
+        unknown = sorted(map(str, obj.keys() - rules.keys()))
         raise ConfigInvalid(f"unknown {where} key(s) {unknown}; known: {sorted(rules)}")
-    missing = [k for k, rule in rules.items() if rule.required and k not in obj]
-    if missing:
+    if any(rule.required and k not in obj for k, rule in rules.items()):
+        missing = [k for k, rule in rules.items() if rule.required and k not in obj]
         raise ConfigInvalid(f"{where} requires {missing}")
     for key, value in obj.items():
         rule = rules[key]

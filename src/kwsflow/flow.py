@@ -47,6 +47,9 @@ STAGES = ("architecture", "rtl", "synthesis", "physical")
 STATUSES = ("pending", "running", "passed", "failed", "skipped")
 VERDICTS = ("accept", "revise", "abort")
 HISTORY_WINDOW = 4  # records shown to the reasoner
+# Proposal's fields, as a script, a remote reply or a checkpoint holds them
+PROPOSAL_RULES = {"writes": Rule(dict, each=Rule("text")), "params": Rule(dict), "rationale": Rule("text")}
+SCRIPT_RULES = dict.fromkeys(STAGES, Rule(list))  # each proposal is checked by Proposal.from_dict
 
 
 @dataclass(frozen=True)
@@ -63,17 +66,12 @@ class Proposal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Proposal":
-        if not isinstance(d, dict):
-            raise SchemaViolation("proposal must be an object")
-        writes = d.get("writes", {})
-        if not isinstance(writes, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in writes.items()):
-            raise SchemaViolation("proposal writes must map paths to text")
-        params = d.get("params", {})
-        if not isinstance(params, dict):
-            raise SchemaViolation("proposal params must be an object")
-        return cls(writes=dict(writes), params=dict(params),
-                   rationale=str(d.get("rationale", "")))
+        try:
+            check_fields(d, PROPOSAL_RULES, "proposal")
+        except ConfigInvalid as exc:  # a remote reply retries on a SchemaViolation
+            raise SchemaViolation(str(exc)) from exc
+        return cls(writes=dict(d.get("writes", {})), params=dict(d.get("params", {})),
+                   rationale=d.get("rationale", ""))
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,9 @@ class ActionRecord:
 RECORD_RULES = {"stage": Rule(str, allowed=STAGES, required=True), "iteration": Rule(int, lo=0, required=True),
                 "proposal_digest": Rule(str, required=True), "report_digest": Rule(str, required=True),
                 "verdict": Rule(str, allowed=VERDICTS, required=True), "wall_time": Rule(float, required=True)}
+# FlowState's statuses, one per stage, and paths, each a digest as _write_artifact records it
+STATE_RULES = {"statuses": Rule(dict, fields={s: Rule(str, allowed=STATUSES, required=True) for s in STAGES}),
+               "paths": Rule(dict, each=Rule(str))}
 
 
 @dataclass
@@ -133,6 +134,7 @@ class FlowState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowState":
+        check_fields({k: d[k] for k in STATE_RULES}, STATE_RULES, "checkpoint state")  # other keys: an old layout
         st = cls(
             statuses=dict(d["statuses"]),
             paths=dict(d["paths"]),
@@ -180,13 +182,10 @@ class ScriptedReasoner:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedReasoner":
-        script = json.loads(Path(path).read_text())
-        if not isinstance(script, dict) or not all(isinstance(v, list) for v in script.values()):
-            raise ConfigInvalid(f"script {path} must be an object of proposal lists")
-        unknown = sorted(set(script) - set(STAGES))
-        if unknown:
-            raise ConfigInvalid(f"script {path} names unknown stages {unknown}; stages are {STAGES}")
-        return cls(script)
+        try:
+            return cls(check_fields(json.loads(Path(path).read_text()), SCRIPT_RULES, f"script {path}"))
+        except SchemaViolation as exc:
+            raise ConfigInvalid(f"script {path}: {exc}") from exc
 
     def propose(self, context: dict) -> Proposal:
         stage = context["stage"]
@@ -657,8 +656,4 @@ def load_checkpoint(path: str | Path, config: dict) -> FlowState:
             state.statuses, state.pending_proposal = step.statuses, step.pending_proposal
     except (OSError, ValueError, KeyError, TypeError, SchemaViolation) as exc:
         raise CheckpointCorrupt(f"unreadable checkpoint: {exc}") from exc
-    if set(STAGES) - state.statuses.keys() or any(
-            v not in STATUSES for v in state.statuses.values()):
-        raise CheckpointCorrupt(f"checkpoint statuses need one of {STATUSES} "
-                                f"for every stage in {STAGES}: {state.statuses}")
     return state

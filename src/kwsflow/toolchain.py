@@ -18,16 +18,17 @@ import os
 import re
 import signal
 import subprocess
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigInvalid, Rule, ScenarioExhausted, check_fields
 
 REPORT_STATUSES = ("pass", "fail", "compile_error", "timeout", "tool_missing", "parse_error")
-# a scenario report's typed fields; cell_count and worst_slack_ns may be null
-REPORT_RULES = {"status": Rule(str, allowed=REPORT_STATUSES), "cell_count": Rule(int, lo=0),
-                "worst_slack_ns": Rule(float)}
+# ToolReport's fields, as a scenario report holds them; _NULLABLE ones may also be null
+REPORT_RULES = {"status": Rule(str, allowed=REPORT_STATUSES), "failures": Rule(list, each=Rule("text")),
+                "cell_count": Rule(int, lo=0), "worst_slack_ns": Rule(float), "raw_capture": Rule("text")}
+_NULLABLE = ("cell_count", "worst_slack_ns")
 
 
 def _digest(text: str) -> str:
@@ -240,17 +241,10 @@ class MockAdapter:
     @classmethod
     def from_file(cls, path: str | Path) -> "MockAdapter":
         data = json.loads(Path(path).read_text())
-        if not isinstance(data, list) or not all(
-                isinstance(d, dict) and isinstance(d.get("failures", []), list)
-                and all(isinstance(f, str) for f in d.get("failures", []))
-                and isinstance(d.get("raw_capture", ""), str) for d in data):
-            raise ConfigInvalid(f"scenario {path} must be a list of report objects whose "
-                                "failures are lists of strings and raw_capture a string")
-        known = {f.name for f in fields(ToolReport)}
+        if not Rule(list, each=Rule(dict)).admits(data):
+            raise ConfigInvalid(f"scenario {path} must be a list of report objects")
         for d in data:
-            if unknown := sorted(d.keys() - known):
-                raise ConfigInvalid(f"unknown scenario {path} report key(s) {unknown}; known: {sorted(known)}")
-            check_fields({k: d[k] for k in REPORT_RULES if k in d and (k == "status" or d[k] is not None)},
+            check_fields({k: v for k, v in d.items() if v is not None or k not in _NULLABLE},
                          REPORT_RULES, f"scenario {path} report")
         try:
             return cls(reports=[ToolReport.from_dict(d) for d in data])

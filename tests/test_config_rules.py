@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kwsflow.cli import EXIT_BAD_INPUT, dispatch  # noqa: E402
 from kwsflow.dse import POINT_RULES, THRESHOLD_RULES, THRESHOLDS, DesignPoint, dse_thresholds  # noqa: E402
-from kwsflow.errors import ConfigInvalid, KwsflowError, Rule  # noqa: E402
+from kwsflow.errors import ConfigInvalid, KwsflowError, Rule, check_fields  # noqa: E402
 from kwsflow.flow import FLOW_RULES, run_flow, validate_config  # noqa: E402
 from kwsflow.frontend import PIPELINE_RULES, PipelineConfig  # noqa: E402
 from kwsflow.signal import gen_signal, write_wav  # noqa: E402
@@ -122,6 +122,21 @@ def test_bases_are_valid_and_hold_every_key(surface):
 
 def test_config_invalid_is_a_value_error():
     assert issubclass(ConfigInvalid, KwsflowError) and issubclass(ConfigInvalid, ValueError)
+
+
+@pytest.mark.parametrize("rule, good, bad", [
+    (Rule("text"), ["", "x"], [None, 1, True, ["x"]]),
+    (Rule(list, each=Rule("text")), [[], ["", "x"]], [None, ("x",), ["x", 1], {"a": "x"}]),
+    (Rule(dict, each=Rule(str)), [{}, {"a": "x"}], [{"a": ""}, {"a": "x", "b": 5}, ["x"]]),
+    (Rule(list, each=Rule(int, lo=0)), [[0, 3]], [[-1], [True], [1.0]]),
+], ids=["text", "list-of-text", "object-of-str", "list-of-int"])
+def test_rule_each_checks_every_item(rule, good, bad):
+    assert all(map(rule.admits, good)) and not any(map(rule.admits, bad))
+
+
+def test_rule_each_names_its_items():
+    with pytest.raises(ConfigInvalid, match="whose writes is an object whose every item is a string, got"):
+        check_fields({"writes": {"a.v": 1}}, {"writes": Rule(dict, each=Rule("text"))}, "proposal")
 
 
 def _library_case(surface):

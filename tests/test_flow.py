@@ -17,6 +17,7 @@ from kwsflow.errors import (
     CheckpointCorrupt,
     ConfigInvalid,
     ConfigMismatch,
+    KwsflowError,
     RemoteProtocolError,
     ScenarioExhausted,
     SchemaViolation,
@@ -952,3 +953,55 @@ def test_remote_reflect_retries_verdict_schema_errors(monkeypatch):
     monkeypatch.setattr(r, "_post", lambda messages: replies.pop(0))
     assert r.reflect({"stage": "rtl", "iteration": 0}, _pass()).kind == "accept"
     assert replies == []
+
+
+# junk a remote endpoint may send before a valid reply; each is retried, and
+# after three in a row the call fails, as the last one decides
+_JUNK_PROPOSALS = {"unknown-key": dict(_proposal(9), note="x"), "wrong-type": {"writes": {"top.v": 1}}}
+_JUNK = ("no-fence", "two-fences", "non-json", "unknown-key", "wrong-type", "http-500")
+
+
+def _junk_reply(kind, call):
+    """(status, content) of one junk reply to a propose or a reflect call."""
+    if kind == "http-500":
+        return 500, ""
+    if kind in _JUNK_PROPOSALS:
+        bad = _JUNK_PROPOSALS[kind]
+        return 200, _fenced(bad if call == "propose" else {"kind": "revise", "proposal": bad})
+    return 200, {"no-fence": "no block here", "two-fences": _fenced({}) * 2,
+                 "non-json": "```json\n{not json\n```\n"}[kind]
+
+
+def test_remote_junk_replies_retry_to_the_clean_history(canned_server, tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    url, handler = canned_server
+    reports = [_fail("a"), _fail("b"), _pass()]
+    # propose, then reflect on each report: revise, revise, accept
+    calls = [("propose", _proposal(0)), ("reflect", {"kind": "revise", "proposal": _proposal(1)}),
+             ("reflect", {"kind": "revise", "proposal": _proposal(2)}), ("reflect", {"kind": "accept"})]
+
+    def run(junk):
+        handler.responses[:] = [r for (call, valid), kinds in zip(calls, junk)
+                                for r in [_junk_reply(k, call) for k in kinds] + [(200, _fenced(valid))]]
+        state = run_stage(FlowState(), RemoteReasoner(url, backoff_s=0), MockAdapter(reports),
+                          budget=len(reports), stage="rtl", workdir=tmp_path)
+        return [r.as_dict(include_wall_time=False) for r in state.history], state.statuses, state.paths
+
+    clean = run([[]] * len(calls))
+    assert [r["verdict"] for r in clean[0]] == ["revise", "revise", "accept"]
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.lists(st.sampled_from(_JUNK), max_size=RemoteReasoner.RETRIES),
+                               min_size=len(calls), max_size=len(calls)))
+    def junk_then_valid(junk):
+        failing = next((kinds for kinds in junk if len(kinds) == RemoteReasoner.RETRIES), None)
+        if failing is None:
+            assert run(junk) == clean
+            return
+        error = RemoteProtocolError if failing[-1] == "http-500" else SchemaViolation
+        with pytest.raises(KwsflowError) as info:
+            run(junk)
+        assert type(info.value) is error
+
+    junk_then_valid()
