@@ -955,6 +955,20 @@ def test_remote_reflect_retries_verdict_schema_errors(monkeypatch):
     assert replies == []
 
 
+@pytest.mark.parametrize("reply", [
+    {"kind": "abort", "reason": None},
+    {"kind": "abort", "reason": 5},
+    {"kind": "abort", "reason": "x", "note": 1},
+    {"kind": "revise", "proposal": _proposal(1), "reasn": "x"},
+], ids=["reason-null", "reason-int", "unknown-key", "misspelt-reason"])
+def test_remote_malformed_verdict_retries_once(monkeypatch, reply):
+    r = RemoteReasoner("http://127.0.0.1:9", backoff_s=0)
+    replies = [_fenced(reply), _fenced({"kind": "abort", "reason": "over budget"})]
+    monkeypatch.setattr(r, "_post", lambda messages: replies.pop(0))
+    assert r.reflect({"stage": "rtl", "iteration": 0}, _fail()) == Verdict(kind="abort", reason="over budget")
+    assert replies == []
+
+
 # junk a remote endpoint may send before a valid reply; each is retried, and
 # after three in a row the call fails, as the last one decides
 _JUNK_PROPOSALS = {"unknown-key": dict(_proposal(9), note="x"), "wrong-type": {"writes": {"top.v": 1}}}
