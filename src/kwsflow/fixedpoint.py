@@ -120,15 +120,18 @@ def word_dtype(bound: int) -> np.dtype:
 def quantize_array(x: np.ndarray, fmt: QFormat) -> np.ndarray:
     """Vectorized quantize: real array -> saturated raw int64 array."""
     raw = np.rint(np.asarray(x, dtype=np.float64) * (1 << fmt.frac_bits))
-    return np.clip(raw, fmt.raw_min, fmt.raw_max).astype(np.int64)
+    return saturate_array(raw, fmt).astype(np.int64)
 
 
 def to_real_array(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
     return raw.astype(np.float64) * fmt.lsb
 
 
-def saturate_array(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
-    return np.clip(raw, fmt.raw_min, fmt.raw_max)
+def saturate_array(raw: np.ndarray, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray:
+    """raw clamped to fmt's range in raw's own dtype, which must hold fmt's
+    bounds; out=raw clamps in place.  The only clamp of a fixed-point word."""
+    lo, hi = raw.dtype.type(fmt.raw_min), raw.dtype.type(fmt.raw_max)
+    return np.minimum(np.maximum(raw, lo, out=out), hi, out=out)
 
 
 def rshift_round_even_array(v: np.ndarray, s: int) -> np.ndarray:
@@ -168,4 +171,4 @@ def shift_add_raw_array(raw: np.ndarray, planes: np.ndarray, fmt: QFormat) -> np
         term = raw >> planes[..., t, 1]
         term *= planes[..., t, 0]
         acc += term
-    return np.clip(acc, fmt.raw_min, fmt.raw_max, out=acc)
+    return saturate_array(acc, fmt, out=acc)

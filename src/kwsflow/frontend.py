@@ -535,7 +535,7 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     acc = np.zeros(prods.shape[1:], dtype=np.int64)
     for prod in prods:
         acc += prod
-        np.clip(acc, acc_fmt.raw_min, acc_fmt.raw_max, out=acc)
+        saturate_array(acc, acc_fmt, out=acc)
     return np.ascontiguousarray(acc.T)
 
 
