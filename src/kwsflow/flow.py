@@ -49,6 +49,8 @@ VERDICTS = ("accept", "revise", "abort")
 HISTORY_WINDOW = 4  # records shown to the reasoner
 # Proposal's fields, as a script, a remote reply or a checkpoint holds them
 PROPOSAL_RULES = {"writes": Rule(dict, each=Rule("text")), "params": Rule(dict), "rationale": Rule("text")}
+# Verdict's fields, as a remote reply holds them; its proposal is checked by Proposal.from_dict
+VERDICT_RULES = {"kind": Rule(str, allowed=VERDICTS, required=True), "proposal": Rule(dict), "reason": Rule("text")}
 SCRIPT_RULES = dict.fromkeys(STAGES, Rule(list))  # each proposal is checked by Proposal.from_dict
 
 
@@ -223,8 +225,13 @@ def _extract_fenced_json(text: str) -> dict:
 
 
 def _parse_verdict(obj: dict) -> Verdict:
-    prop = Proposal.from_dict(obj["proposal"]) if obj.get("proposal") else None
-    return Verdict(kind=obj.get("kind", ""), proposal=prop, reason=str(obj.get("reason", "")))
+    fields = {k: v for k, v in obj.items() if k != "proposal" or v is not None}  # null reads as absent
+    try:
+        check_fields(fields, VERDICT_RULES, "verdict")
+    except ConfigInvalid as exc:  # a remote reply retries on a SchemaViolation
+        raise SchemaViolation(str(exc)) from exc
+    prop = Proposal.from_dict(fields["proposal"]) if fields.get("proposal") else None
+    return Verdict(kind=fields["kind"], proposal=prop, reason=fields.get("reason", ""))
 
 
 class RemoteReasoner:
