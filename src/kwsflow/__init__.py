@@ -8,7 +8,6 @@ from .dse import (
     DseReport,
     cost_model,
     evaluate_point,
-    pareto_front,
     run_dse,
     select_alpha,
     select_bandwidth,

@@ -402,21 +402,6 @@ def evaluate_point(p: DesignPoint, corpus) -> DesignMetrics:
         spectro_error=_fft_loss(corpus, p), mel_shape_delta=_mel_delta(corpus, p))
 
 
-def pareto_front(points: list[tuple[DesignPoint, DesignMetrics]]) -> list[tuple[DesignPoint, DesignMetrics]]:
-    """Non-dominated subset under (power_proxy, area_proxy, spectro_error)."""
-    def key(m: DesignMetrics) -> tuple[float, float, float]:
-        return (m.power_proxy, m.area_proxy, m.spectro_error)
-
-    def dominates(a, b) -> bool:
-        ka, kb = key(a), key(b)
-        return all(x <= y for x, y in zip(ka, kb)) and ka != kb
-
-    return [
-        (p, m) for p, m in points
-        if not any(dominates(m2, m) for _, m2 in points)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # the corpus and the full exploration run
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Design-space exploration: stage selectors, cost model, Pareto front."""
+"""Design-space exploration: stage selectors, cost model, the full run."""
 
 import hashlib
 import json
@@ -12,7 +12,6 @@ from kwsflow.dse import (
     DseStageError,
     cost_model,
     evaluate_point,
-    pareto_front,
     run_dse,
     select_alpha,
     select_bandwidth,
@@ -169,44 +168,6 @@ def test_design_point_validation():
         DesignPoint(fft_size=48)
 
 
-def test_pareto_front_matches_brute_force():
-    rng = np.random.default_rng(12)
-    pts = []
-    for _ in range(40):
-        p = DesignPoint()
-        m = _metrics(
-            float(rng.uniform(0.5, 4)),
-            float(rng.uniform(0.5, 4)),
-            float(rng.uniform(0.0, 0.4)),
-        )
-        pts.append((p, m))
-    front = pareto_front(pts)
-
-    def dominated(m, others):
-        for o in others:
-            keys = ("power_proxy", "area_proxy", "spectro_error")
-            le = all(getattr(o, k) <= getattr(m, k) for k in keys)
-            lt = any(getattr(o, k) < getattr(m, k) for k in keys)
-            if le and lt:
-                return True
-        return False
-
-    brute = [pm for pm in pts if not dominated(pm[1], [m for _, m in pts])]
-    assert [id(m) for _, m in front] == [id(m) for _, m in brute]
-
-
-def _metrics(power, area, err):
-    from kwsflow.dse import DesignMetrics
-
-    return DesignMetrics(
-        power_proxy=power,
-        area_proxy=area,
-        power_retention=1.0,
-        dc_bin_fraction=0.0,
-        leakage=0.05,
-        spectro_error=err,
-        mel_shape_delta=0.0,
-    )
 
 
 # ------------------------------------------------------------------ full run
