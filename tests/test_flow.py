@@ -767,7 +767,8 @@ def canned_server():
     _CannedHandler.responses = []
     _CannedHandler.requests = []
     server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll lets shutdown() return at once, not after up to 0.5 s
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _CannedHandler
     server.shutdown()
