@@ -110,8 +110,9 @@ def test_saturate_array_matches_saturate(data):
     got = saturate_array(np.array(xs, dtype=np.int64), fmt)
     assert got.tolist() == [saturate(x, fmt) for x in xs]
     if fmt.total_bits < 31:  # twice the range still fits int32
-        assert saturate_array(np.array(xs, dtype=np.int32), fmt).tolist() == got.tolist()
-        # in place: out= the input clamps that array and keeps it int32
+        got32 = saturate_array(np.array(xs, dtype=np.int32), fmt)
+        assert got32.dtype == np.int32 and got32.tolist() == got.tolist()
+        # in place: out= the input clamps that array and returns it
         raw = np.array(xs, dtype=np.int32)
         assert saturate_array(raw, fmt, out=raw) is raw
         assert raw.dtype == np.int32 and raw.tolist() == got.tolist()
