@@ -131,7 +131,8 @@ def saturate_array(raw: np.ndarray, fmt: QFormat, out: np.ndarray | None = None)
     """raw clamped to fmt's range in raw's own dtype, which must hold fmt's
     bounds; out=raw clamps in place.  The only clamp of a fixed-point word."""
     lo, hi = raw.dtype.type(fmt.raw_min), raw.dtype.type(fmt.raw_max)
-    return np.minimum(np.maximum(raw, lo, out=out), hi, out=out)
+    out = np.maximum(raw, lo, out=out)
+    return np.minimum(out, hi, out=out)
 
 
 def rshift_round_even_array(v: np.ndarray, s: int) -> np.ndarray:

@@ -168,8 +168,6 @@ def test_design_point_validation():
         DesignPoint(fft_size=48)
 
 
-
-
 # ------------------------------------------------------------------ full run
 
 
