@@ -130,9 +130,11 @@ def to_real_array(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
 def saturate_array(raw: np.ndarray, fmt: QFormat, out: np.ndarray | None = None) -> np.ndarray:
     """raw clamped to fmt's range in raw's own dtype, which must hold fmt's
     bounds; out=raw clamps in place.  The only clamp of a fixed-point word."""
-    lo, hi = raw.dtype.type(fmt.raw_min), raw.dtype.type(fmt.raw_max)
-    out = np.maximum(raw, lo, out=out)
-    return np.minimum(out, hi, out=out)
+    # bounds in raw's dtype keep int32 words int32 and spare the np.iinfo checks
+    # that Python-int bounds cost; the method skips the module function's
+    # dispatch, and one clip pass beats np.maximum then np.minimum on int32
+    word = raw.dtype.type
+    return raw.clip(word(fmt.raw_min), word(fmt.raw_max), out=out)
 
 
 def rshift_round_even_array(v: np.ndarray, s: int) -> np.ndarray:
