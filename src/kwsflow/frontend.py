@@ -17,6 +17,7 @@ total gain of 1/N.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, get_args
@@ -80,6 +81,11 @@ LOG_FORMAT = QFormat(12, 4)
 # belongs to the comparison metric, so it must not move when candidate bit
 # widths change.  2^-12 is one LSB of the 7-bit reference energy format.
 ENERGY_FLOOR = 2.0 ** -12
+# Words (frames x N) per block of window, FFT and power, which work row by
+# row, so the block size moves no bit.  A block bounds the FFT's temporaries
+# as the SDF pipeline's N - 1 delay words bound the hardware's; smaller
+# blocks are slower, since each FFT call pays a per-level overhead.
+BLOCK_WORDS = 1 << 16
 _LOG_LUT = np.array([math.log2(1 + i / 16) for i in range(17)])
 
 
@@ -144,6 +150,21 @@ class MfccFrame:
     index: int
 
 
+class _Frames(Sequence):
+    """Read-only sequence of MfccFrame(rows[i], i), each built when read."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return MfccFrame(self._rows[i], range(len(self))[i])
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """Per-frame MFCCs plus the intermediate matrices oracles compare on.
@@ -152,7 +173,7 @@ class PipelineResult:
     frame leaves mfcc unchanged.
     """
 
-    frames: tuple[MfccFrame, ...]
+    frames: Sequence[MfccFrame]
     mfcc: np.ndarray  # (n_frames, n_mfcc), real values
     log_mel: np.ndarray  # (n_frames, n_mel), real values
     power: np.ndarray  # (n_frames, N/2 + 1), real values
@@ -571,7 +592,7 @@ def _plan(cfg: PipelineConfig) -> _Plan:
 
 
 def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
-    """mfcc_pipeline's stages up to the power spectrum, raw energy words in fixed mode."""
+    """mfcc_pipeline's stages up to the power spectrum, blocked from the window on; raw energy words in fixed mode."""
     if s.sample_rate != cfg.sample_rate:
         raise DimensionMismatch(
             f"signal rate {s.sample_rate} != config rate {cfg.sample_rate}; decimate first"
@@ -580,26 +601,39 @@ def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
     fmt = cfg.sample_format if fixed else None
     x = quantize_array(s.samples, fmt) if fixed else s.samples
     x = preemphasis(x, PreemphasisConfig(cfg.preemphasis_k), fmt)
-    frames = frame_and_window(x, cfg)
-    sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
-    if not fixed:
-        # normalize by 1/N so both modes share one spectral scale (the
-        # fixed datapath's per-stage halving has the same total gain)
-        sre, sim = sre / cfg.fft_size, sim / cfg.fft_size
-    return power_spectrum(sre, sim, cfg)
+    n, hop = cfg.fft_size, cfg.frame_hop
+    # below n samples this is one block, on which frame_and_window raises SignalTooShort
+    n_frames = max(0, len(x) - n) // hop + 1
+    step = max(1, BLOCK_WORDS // n)
+    power = None if n_frames <= step else np.empty((n_frames, n // 2 + 1), np.int64 if fixed else np.float64)
+    for f0 in range(0, n_frames, step):
+        frames = frame_and_window(x[f0 * hop : (min(f0 + step, n_frames) - 1) * hop + n], cfg)
+        sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
+        if not fixed:
+            # normalize by 1/N so both modes share one spectral scale (the
+            # fixed datapath's per-stage halving has the same total gain)
+            sre, sim = sre / n, sim / n
+        if power is None:  # one block: no copy
+            return power_spectrum(sre, sim, cfg)
+        power[f0 : f0 + step] = power_spectrum(sre, sim, cfg)
+    return power
+
+
+def _log_mel(power: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """mfcc_pipeline's mel and log stages on a power matrix, raw log words in fixed mode."""
+    return log_compress(mel_energies(power, _plan(cfg).filterbank, cfg), cfg)
 
 
 def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
     """Run the full front end on one buffer; deterministic per config."""
     power = _power_stage(s, cfg)
-    log_mel = log_compress(mel_energies(power, _plan(cfg).filterbank, cfg), cfg)
+    log_mel = _log_mel(power, cfg)
     mfcc = dct_ii(log_mel, cfg)
     if cfg.mode == "fixed":
         power = to_real_array(power, cfg.energy_format)
         log_mel = to_real_array(log_mel, LOG_FORMAT)
         mfcc = to_real_array(mfcc, LOG_FORMAT)
-    frames_out = tuple(map(MfccFrame, mfcc.copy(), range(mfcc.shape[0])))
-    return PipelineResult(frames_out, mfcc, log_mel, power, cfg)
+    return PipelineResult(_Frames(mfcc.copy()), mfcc, log_mel, power, cfg)
 
 
 def spectrogram_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,7 @@
 """Front-end stages against independent oracles (reference DFT, numpy, scipy)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,9 @@ def test_framing_short_input():
     cfg = PipelineConfig(fft_size=32)
     with pytest.raises(SignalTooShort):
         frame_and_window(np.ones(31), cfg)
+    for mode in ("fixed", "float"):
+        with pytest.raises(SignalTooShort, match="need at least 32 samples, got 31"):
+            mfcc_pipeline(SignalBuffer(np.zeros(31), 8000), PipelineConfig(mode=mode))
 
 
 # --------------------------------------------------------------------- FFT
@@ -524,3 +529,57 @@ def test_distance_errors():
         spectrogram_distance(a, np.ones((3, 5)))
     with pytest.raises(ZeroReference):
         spectrogram_distance(a, np.zeros((3, 4)))
+
+
+# ---------------------------------------------------------- frame blocks
+
+BLOCK_POINTS = {"chosen": PLAN_POINTS["chosen"], "wide": PLAN_POINTS["wide"],
+                "16-bit": {**PLAN_POINTS["wide"], "bit_width": 16}}
+
+
+def test_power_blocks_leave_every_bit_unchanged():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from kwsflow import frontend
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(sorted(BLOCK_POINTS)), st.sampled_from(["fixed", "float"]),
+                      st.integers(3, 40), st.integers(0, 2 ** 16), st.data())
+    def blocked_equals_whole(point, mode, n_frames, seed, data):
+        cfg = PipelineConfig(mode=mode, **BLOCK_POINTS[point])
+        n = (n_frames - 1) * cfg.frame_hop + cfg.fft_size + data.draw(st.integers(0, cfg.frame_hop - 1))
+        s = gen_signal("speechlike", seed=seed, n=n, sample_rate=cfg.sample_rate)
+        whole = mfcc_pipeline(s, cfg)  # one block: n_frames * N is below BLOCK_WORDS
+        assert whole.power.shape[0] == n_frames
+        non_divisor = data.draw(st.sampled_from([r for r in range(2, n_frames) if n_frames % r]))
+        for rows in (1, 2, 7, non_divisor):
+            # a block size that is not a whole number of frames rounds down to one
+            words = rows * cfg.fft_size + data.draw(st.integers(0, cfg.fft_size - 1))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(frontend, "BLOCK_WORDS", words)
+                blocked = mfcc_pipeline(s, cfg)
+            for name in ("power", "log_mel", "mfcc"):
+                assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), (rows, name)
+
+    blocked_equals_whole()
+
+
+def test_working_set_does_not_grow_with_the_buffer():
+    # a float wide call on 60 s, less its outputs, peaks no higher than on
+    # 10 s plus a margin for the buffer-length arrays of pre-emphasis (the
+    # 60 s buffer is 7.7 MB); whole-buffer FFT temporaries put it near 180 MB
+    cfg = PipelineConfig(mode="float", **PLAN_POINTS["wide"])
+    mfcc_pipeline(_clip(cfg), cfg)  # build the plan and twiddles outside the trace
+
+    def net_peak(seconds):
+        s = gen_signal("speechlike", seed=1, n=seconds * cfg.sample_rate, sample_rate=cfg.sample_rate)
+        tracemalloc.start()
+        try:
+            result = mfcc_pipeline(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # mfcc twice: frames read a private copy of it
+        return peak - result.power.nbytes - result.log_mel.nbytes - 2 * result.mfcc.nbytes
+
+    assert net_peak(60) <= net_peak(10) + 16e6
