@@ -11,8 +11,9 @@ the working design point; stages interact greedily, not jointly.
 
 _peak_stability and _dc_fraction read only power, so _power stops the
 front end there.  Computed once per signal, not per candidate: the
-periodogram every rate's retention reads, and the float power of the
-bit-width walk (unless the window is csd2, whose taps depend on the width).
+periodogram every rate's retention reads, the float power of the bit-width
+walk (unless the window is csd2, whose taps depend on the width) and the
+power both mel shapes of _mel_delta read.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from .errors import (
 from .fixedpoint import to_real_array
 from .frontend import (
     ENERGY_FLOOR,
+    LOG_FORMAT,
     PIPELINE_RULES,
     MelShape,
     PipelineConfig,
     PreemphasisConfig,
     WindowPolicy,
+    _log_mel,
     _power_stage,
     mfcc_pipeline,
     spectrogram_distance,
@@ -249,9 +252,14 @@ def _fft_loss(corpus, p: DesignPoint) -> float:
 
 
 def _mel_delta(corpus, p: DesignPoint) -> float:
-    """Log-mel distance of rectangular filters from triangular ones."""
-    return _mean_distance(corpus, p.pipeline_config(mel_shape="rectangular"),
-                          p.pipeline_config(mel_shape="triangular"))
+    """Log-mel distance of rectangular filters from triangular ones, on one power per signal."""
+    rect, tri = (p.pipeline_config(mel_shape=shape) for shape in ("rectangular", "triangular"))
+    vals = []
+    for s in corpus:
+        power = _power_stage(s, rect)
+        la, lb = (to_real_array(_log_mel(power, cfg), LOG_FORMAT) for cfg in (rect, tri))
+        vals.append(spectrogram_distance(la, lb))
+    return float(np.mean(vals))
 
 
 # ---------------------------------------------------------------------------
