@@ -119,8 +119,8 @@ def word_dtype(bound: int) -> np.dtype:
 
 def quantize_array(x: np.ndarray, fmt: QFormat) -> np.ndarray:
     """Vectorized quantize: real array -> saturated raw int64 array."""
-    raw = np.rint(np.asarray(x, dtype=np.float64) * (1 << fmt.frac_bits))
-    return saturate_array(raw, fmt).astype(np.int64)
+    raw = np.multiply(x, 1 << fmt.frac_bits, dtype=np.float64)
+    return saturate_array(np.rint(raw, out=raw), fmt, out=raw).astype(np.int64)
 
 
 def to_real_array(raw: np.ndarray, fmt: QFormat) -> np.ndarray:
@@ -138,14 +138,13 @@ def saturate_array(raw: np.ndarray, fmt: QFormat, out: np.ndarray | None = None)
 
 
 def rshift_round_even_array(v: np.ndarray, s: int) -> np.ndarray:
-    """Vectorized arithmetic right shift with round-to-nearest-even."""
+    """Vectorized arithmetic right shift with round-to-nearest-even: q = v >> s
+    rounds up when (v mod 2^s) + (q & 1) > 2^(s-1), a sum of at most 2^s."""
     if s <= 0:
         return v << -s
     q = v >> s
-    r = v - (q << s)
-    half = 1 << (s - 1)
-    bump = (r > half) | ((r == half) & ((q & 1) == 1))
-    return q + bump
+    q += (v & ((1 << s) - 1)) + (q & 1) > 1 << (s - 1)
+    return q
 
 
 def mul_raw_array(a: np.ndarray, b: np.ndarray, fmt: QFormat) -> np.ndarray:

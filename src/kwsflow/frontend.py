@@ -186,13 +186,15 @@ def preemphasis(samples: np.ndarray, cfg: PreemphasisConfig, fmt: QFormat | None
     With a format given, runs bit-accurately: alpha * x is realized as
     x - (x >> k) on raw integers; it and the subtraction saturate.
     """
+    x = np.asarray(samples, dtype=np.float64 if fmt is None else np.int64)
+    y = np.empty_like(x)
+    y[:1] = 0  # alpha * x[-1]
     if fmt is None:
-        x = np.asarray(samples, dtype=np.float64)
-        prev = np.concatenate(([0.0], x[:-1]))
-        return x - cfg.alpha * prev
-    raw = np.asarray(samples, dtype=np.int64)
-    prev = np.concatenate(([0], raw[:-1]))
-    return saturate_array(raw - saturate_array(prev - (prev >> cfg.k), fmt), fmt)
+        np.multiply(x[:-1], cfg.alpha, out=y[1:])
+        return np.subtract(x, y, out=y)
+    np.subtract(x[:-1], np.right_shift(x[:-1], cfg.k, out=y[1:]), out=y[1:])
+    np.subtract(x, saturate_array(y, fmt, out=y), out=y)
+    return saturate_array(y, fmt, out=y)
 
 
 @dataclass(frozen=True)
@@ -261,53 +263,48 @@ def _twiddles(n: int) -> np.ndarray:
     return w
 
 
-def _fft_r22_complex(x: np.ndarray) -> np.ndarray:
-    """Radix-2^2 DIF recursion on (frames, N) arrays, double precision."""
-    n = x.shape[1]
-    if n == 1:
-        return x
-    if n == 2:
-        return np.stack([x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]], axis=1)
-    q = n // 4
-    a, b, c, d = (x[:, k * q : (k + 1) * q] for k in range(4))
-    # first butterfly stage (span N/2)
-    t0, t1 = a + c, b + d
-    t2, t3 = a - c, b - d
-    # second stage with trivial -j rotation on the cross branch
-    u0 = t0 + t1
-    u1 = t0 - t1
-    u2 = t2 - 1j * t3
-    u3 = t2 + 1j * t3
-    w1, w2, w3 = _twiddles(n)
-    sub0 = _fft_r22_complex(u0)
-    sub1 = _fft_r22_complex(u2 * w1)
-    sub2 = _fft_r22_complex(u1 * w2)
-    sub3 = _fft_r22_complex(u3 * w3)
-    out = np.empty_like(x)
-    out[:, 0::4] = sub0
-    out[:, 1::4] = sub1
-    out[:, 2::4] = sub2
-    out[:, 3::4] = sub3
-    return out
+def _fft_r22_float(x: np.ndarray) -> np.ndarray:
+    """Radix-2^2 DIF over (frames, N) complex128 frames in _fft_r22_fixed's levels and layout; every
+    product is numpy's complex multiply on the operands of the recursion in tests/oracles.py (1j * t3,
+    then u * w, the twiddle column broadcast over frames), which keeps its bits.  Returns an F-ordered view."""
+    n_frames, n = x.shape
+    v, m = x.T[np.newaxis], n  # (blocks, m, frames); the first level reads x in place
+    bufs = np.empty((2, n * n_frames), dtype=np.complex128)  # each level writes the other
+    tmp = np.empty(n // 4 * n_frames, dtype=np.complex128)  # one branch of any level
+    while m >= 4:
+        q = m // 4
+        a, b, c, d = (v[:, k * q : (k + 1) * q] for k in range(4))
+        out, t = bufs[0].reshape(-1, 4, q, n_frames), tmp.reshape(-1, q, n_frames)
+        u0, u2, u1, u3 = (out[:, k] for k in range(4))  # twiddle exponents 0, 1, 2, 3
+        w1, w2, w3 = _twiddles(m)[:, :, np.newaxis]
+        np.add(a, c, out=u0)  # t0
+        np.add(b, d, out=u1)  # t1
+        np.subtract(u0, u1, out=t)  # u1 = t0 - t1
+        u0 += u1  # u0 = t0 + t1
+        np.multiply(t, w2, out=u1)
+        np.subtract(a, c, out=u2)  # t2
+        np.subtract(b, d, out=u3)  # t3
+        np.multiply(1j, u3, out=u3)
+        np.subtract(u2, u3, out=t)  # u2 = t2 - j t3
+        u3 += u2  # u3 = t2 + j t3
+        np.multiply(t, w1, out=u2)
+        u3 *= w3
+        v, m, bufs = out.reshape(-1, q, n_frames), q, bufs[::-1]
+    if m == 2:  # trailing radix-2 stage when log2(N) is odd
+        out = bufs[0].reshape(-1, 2, n_frames)
+        np.add(v[:, 0], v[:, 1], out=out[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
+        v = out
+    return v.reshape(n, n_frames)[_bin_order(n)].T
 
 
 def _half(v: np.ndarray) -> np.ndarray:
-    """rshift_round_even_array(v, 1): a tie (odd v) rounds to the even neighbour."""
+    """rshift_round_even_array(v, 1) in place: a tie (odd v) rounds to the even neighbour."""
     q = v >> 1
-    return q + (v & q & 1)
-
-
-def _stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i):
-    """Second butterfly stage (span m/4) with -j on the cross branch, halved.
-
-    Yields the blocks u0, u2, u1, u3, which take twiddle exponents 0, 1,
-    2, 3, one at a time, so that only one is alive beside the level's
-    output.
-    """
-    yield _half(t0r + t1r), _half(t0i + t1i)
-    yield _half(t2r + t3i), _half(t2i - t3r)  # (t2) - j*(t3)
-    yield _half(t0r - t1r), _half(t0i - t1i)
-    yield _half(t2r - t3i), _half(t2i + t3r)  # (t2) + j*(t3)
+    v &= q
+    v &= 1
+    v += q
+    return v
 
 
 def _fft_dtype(fmt: QFormat) -> np.dtype:
@@ -377,17 +374,20 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
         t3r, t3i = _half(br - dr), _half(bi - di)
         out_re = np.empty((xr.shape[0], 4, q, n_frames), dtype=xr.dtype)
         out_im = np.empty_like(out_re)
-        for b, (vr, vi) in enumerate(_stage2(t0r, t0i, t1r, t1i, t2r, t2i, t3r, t3i)):
-            vr, vi = saturate_array(vr, fmt), saturate_array(vi, fmt)
+        # stage 2 (span m/4) with -j on the cross branch, halved, in twiddle
+        # exponent order: u0, u2 = t2 - j t3, u1, u3 = t2 + j t3
+        stage2 = (t0r + t1r, t0i + t1i), (t2r + t3i, t2i - t3r), (t0r - t1r, t0i - t1i), (t2r - t3i, t2i + t3r)
+        for b, (vr, vi) in enumerate(stage2):
+            vr, vi = (saturate_array(_half(v), fmt, out=v) for v in (vr, vi))
             if b and m > 4:  # every twiddle of a size-4 level is 1
                 # every twiddle takes the rounded multiply with its ROM
                 # word; a trivial one (1, -j) is then an exact rotation and,
                 # bypassing the multiplier in the hardware, is not saturated
                 w_re, w_im, trivial = _twiddle_rom(m, fmt)[b - 1]
-                mr = rshift_round_even_array(vr * w_re - vi * w_im, fmt.frac_bits)
-                mi = rshift_round_even_array(vr * w_im + vi * w_re, fmt.frac_bits)
-                vr = np.where(trivial, mr, saturate_array(mr, fmt))
-                vi = np.where(trivial, mi, saturate_array(mi, fmt))
+                vr, vi = (rshift_round_even_array(vr * w_re - vi * w_im, fmt.frac_bits),
+                          rshift_round_even_array(vr * w_im + vi * w_re, fmt.frac_bits))
+                for v in (vr, vi):
+                    np.copyto(v, saturate_array(v, fmt), where=~trivial)
             out_re[:, b], out_im[:, b] = vr, vi
         xr, xi = out_re.reshape(-1, q, n_frames), out_im.reshape(-1, q, n_frames)
         m = q
@@ -402,15 +402,15 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     """Radix-2^2 delay-feedback FFT over a batch of frames.
 
     Inputs are (n_frames, N): real samples in float mode, raw words of the
-    sample format in fixed mode (else UnsupportedFormat).  Output is in
-    natural bin order.  Fixed mode has a total gain of 1/N from the per-stage
-    halving, runs on int32 words up to 16 bits and returns int64.
+    sample format in fixed mode (else UnsupportedFormat).  Outputs are F-ordered
+    views in natural bin order.  Fixed mode has a total gain of 1/N from the
+    per-stage halving, runs on int32 words up to 16 bits and returns int64.
     """
     n = frames_re.shape[1]
     if n not in ALLOWED_FFT_SIZES:
         raise InvalidSize(f"fft size must be one of {ALLOWED_FFT_SIZES}, got {n}")
     if cfg.mode == "float":
-        out = _fft_r22_complex(frames_re + 1j * frames_im)
+        out = _fft_r22_float(frames_re + 1j * frames_im)
         return out.real, out.imag
     if not all(np.issubdtype(f.dtype, np.integer) for f in (frames_re, frames_im)):
         raise UnsupportedFormat(f"fixed mode takes raw integer frames, got {frames_re.dtype} and {frames_im.dtype}")
@@ -592,29 +592,30 @@ def _plan(cfg: PipelineConfig) -> _Plan:
 
 
 def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
-    """mfcc_pipeline's stages up to the power spectrum, blocked from the window on; raw energy words in fixed mode."""
+    """mfcc_pipeline's stages up to the power spectrum, raw energy words in fixed mode, in frame
+    blocks written into one C-ordered matrix, since the float mel matmul's bits depend on its layout."""
     if s.sample_rate != cfg.sample_rate:
         raise DimensionMismatch(
             f"signal rate {s.sample_rate} != config rate {cfg.sample_rate}; decimate first"
         )
     fixed = cfg.mode == "fixed"
     fmt = cfg.sample_format if fixed else None
-    x = quantize_array(s.samples, fmt) if fixed else s.samples
-    x = preemphasis(x, PreemphasisConfig(cfg.preemphasis_k), fmt)
+    pre = PreemphasisConfig(cfg.preemphasis_k)
     n, hop = cfg.fft_size, cfg.frame_hop
     # below n samples this is one block, on which frame_and_window raises SignalTooShort
-    n_frames = max(0, len(x) - n) // hop + 1
+    n_frames = max(0, len(s.samples) - n) // hop + 1
     step = max(1, BLOCK_WORDS // n)
-    power = None if n_frames <= step else np.empty((n_frames, n // 2 + 1), np.int64 if fixed else np.float64)
+    power = np.empty((n_frames, n // 2 + 1), np.int64 if fixed else np.float64)
     for f0 in range(0, n_frames, step):
-        frames = frame_and_window(x[f0 * hop : (min(f0 + step, n_frames) - 1) * hop + n], cfg)
+        lo = max(0, f0 * hop - 1)  # pre-emphasis reads the sample before the block, then drops it
+        x = s.samples[lo : (min(f0 + step, n_frames) - 1) * hop + n]
+        x = preemphasis(quantize_array(x, fmt) if fixed else x, pre, fmt)[f0 * hop - lo :]
+        frames = frame_and_window(x, cfg)
         sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
         if not fixed:
             # normalize by 1/N so both modes share one spectral scale (the
             # fixed datapath's per-stage halving has the same total gain)
             sre, sim = sre / n, sim / n
-        if power is None:  # one block: no copy
-            return power_spectrum(sre, sim, cfg)
         power[f0 : f0 + step] = power_spectrum(sre, sim, cfg)
     return power
 

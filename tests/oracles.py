@@ -2,8 +2,10 @@
 
 kwsflow runs its fixed-point datapath on raw integer arrays only.  The
 scalar forms below define what each array helper in kwsflow.fixedpoint
-must compute element by element, and dft_reference is the direct DFT the
-FFT is checked against.  Nothing in the package imports this module.
+must compute element by element, dft_reference is the direct DFT the
+FFT is checked against, and fft_r22_recursive is the float FFT's former
+recursive form, whose bits the level loop must keep.  Nothing in the
+package imports this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Literal
 import numpy as np
 
 from kwsflow.fixedpoint import QFormat, ShiftAddApprox
+from kwsflow.frontend import _twiddles
 
 ArithKind = Literal["add", "sub", "mul"]
 
@@ -102,3 +105,33 @@ def dft_reference(frame: np.ndarray) -> np.ndarray:
     k = np.arange(n)
     m = np.exp(-2j * np.pi * np.outer(k, k) / n)
     return m @ x
+
+
+def fft_r22_recursive(x: np.ndarray) -> np.ndarray:
+    """Radix-2^2 DIF recursion on (frames, N) arrays, double precision."""
+    n = x.shape[1]
+    if n == 1:
+        return x
+    if n == 2:
+        return np.stack([x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]], axis=1)
+    q = n // 4
+    a, b, c, d = (x[:, k * q : (k + 1) * q] for k in range(4))
+    # first butterfly stage (span N/2)
+    t0, t1 = a + c, b + d
+    t2, t3 = a - c, b - d
+    # second stage with trivial -j rotation on the cross branch
+    u0 = t0 + t1
+    u1 = t0 - t1
+    u2 = t2 - 1j * t3
+    u3 = t2 + 1j * t3
+    w1, w2, w3 = _twiddles(n)
+    sub0 = fft_r22_recursive(u0)
+    sub1 = fft_r22_recursive(u2 * w1)
+    sub2 = fft_r22_recursive(u1 * w2)
+    sub3 = fft_r22_recursive(u3 * w3)
+    out = np.empty_like(x)
+    out[:, 0::4] = sub0
+    out[:, 1::4] = sub1
+    out[:, 2::4] = sub2
+    out[:, 3::4] = sub3
+    return out

@@ -122,18 +122,24 @@ def test_saturate_array_matches_saturate(data):
 @given(st.data())
 def test_rshift_round_even_array_matches_scalar(data):
     # negative and zero shifts are left shifts; values are sized so the
-    # result stays below 2^62
-    s = data.draw(st.integers(-16, 40))
+    # result stays below 2^62, and a right shift also meets the dtype's extremes
+    s = data.draw(st.integers(-16, 62))
     bound = 1 << (46 if s >= 0 else 46 + s)
     ties = st.integers(-(bound >> max(s, 0)), bound >> max(s, 0)).map(
         lambda q: (2 * q + 1) << (s - 1) if s > 0 else q)
     vs = data.draw(st.lists(st.one_of(st.integers(-bound, bound), ties,
                                       st.sampled_from((-1, 0, 1))), min_size=1, max_size=24))
+    i64, i32 = np.iinfo(np.int64), np.iinfo(np.int32)
+    if s > 0:
+        vs += [i64.min, i64.min + 1, i64.max - 1, i64.max]
     got = rshift_round_even_array(np.array(vs, dtype=np.int64), s)
     assert got.tolist() == [_rshift_round_even(v, s) for v in vs]
     small = [v for v in vs if abs(_rshift_round_even(v, s)) < 2**31 and abs(v) < 2**31]
+    if 0 < s < 31:
+        small += [i32.min, i32.min + 1, i32.max - 1, i32.max]
     if small and s < 31:
         got32 = rshift_round_even_array(np.array(small, dtype=np.int32), s)
+        assert got32.dtype == np.int32
         assert got32.tolist() == [_rshift_round_even(v, s) for v in small]
 
 

@@ -21,6 +21,7 @@ from kwsflow.frontend import (
     ENERGY_FLOOR,
     PipelineConfig,
     PreemphasisConfig,
+    _power_stage,
     build_mel_filterbank,
     dct_ii,
     fft_r22sdf,
@@ -533,8 +534,11 @@ def test_distance_errors():
 
 # ---------------------------------------------------------- frame blocks
 
+# a rectangular window weighs each frame's first sample, whose pre-emphasis
+# reads the sample before its block; a Hanning window's zero tap hides it
 BLOCK_POINTS = {"chosen": PLAN_POINTS["chosen"], "wide": PLAN_POINTS["wide"],
-                "16-bit": {**PLAN_POINTS["wide"], "bit_width": 16}}
+                "16-bit": {**PLAN_POINTS["wide"], "bit_width": 16},
+                "rectangular": {**PLAN_POINTS["wide"], "window_policy": "rectangular"}}
 
 
 def test_power_blocks_leave_every_bit_unchanged():
@@ -566,8 +570,8 @@ def test_power_blocks_leave_every_bit_unchanged():
 
 def test_working_set_does_not_grow_with_the_buffer():
     # a float wide call on 60 s, less its outputs, peaks no higher than on
-    # 10 s plus a margin for the buffer-length arrays of pre-emphasis (the
-    # 60 s buffer is 7.7 MB); whole-buffer FFT temporaries put it near 180 MB
+    # 10 s plus a margin (the 60 s buffer is 7.7 MB); whole-buffer FFT
+    # temporaries put it near 180 MB
     cfg = PipelineConfig(mode="float", **PLAN_POINTS["wide"])
     mfcc_pipeline(_clip(cfg), cfg)  # build the plan and twiddles outside the trace
 
@@ -583,3 +587,21 @@ def test_working_set_does_not_grow_with_the_buffer():
         return peak - result.power.nbytes - result.log_mel.nbytes - 2 * result.mfcc.nbytes
 
     assert net_peak(60) <= net_peak(10) + 16e6
+
+
+@pytest.mark.parametrize("mode, whole_buffer_arrays", [("float", 3), ("fixed", 4)])
+def test_power_stage_peak_sits_a_buffer_below_whole_buffer_pre_emphasis(mode, whole_buffer_arrays):
+    # quantize and pre-emphasis over a whole 60 s, 16 kHz buffer (7.7 MB)
+    # held three buffer-length arrays in float mode and four in fixed mode,
+    # which set the power stage's peak; the stage must now peak at least
+    # one buffer length below that
+    cfg = PipelineConfig(mode=mode, **PLAN_POINTS["wide"])
+    s = gen_signal("speechlike", seed=1, n=60 * cfg.sample_rate, sample_rate=cfg.sample_rate)
+    _power_stage(_clip(cfg), cfg)  # build the plan and twiddles outside the trace
+    tracemalloc.start()
+    try:
+        _power_stage(s, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (whole_buffer_arrays - 1) * s.samples.nbytes

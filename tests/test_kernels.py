@@ -4,6 +4,7 @@ log_compress's per-element loop, the recursive radix-2^2 FFT, the
 per-column window, the per-(k, n) DCT loop and the rectangular/triangular
 mel fork are kept here, and only here, as the oracles; the library's
 whole-array kernels must match them bit for bit, saturation included.
+The float FFT's recursion is oracles.fft_r22_recursive.
 """
 
 import math
@@ -31,16 +32,20 @@ from kwsflow.frontend import (  # noqa: E402
     ENERGY_FLOOR,
     LOG_FORMAT,
     PipelineConfig,
+    PreemphasisConfig,
     _fft_dtype,
     _fft_r22_fixed,
+    _fft_r22_float,
     _twiddle_rom,
     build_mel_filterbank,
     dct_ii,
     frame_and_window,
     log_compress,
     mel_energies,
+    preemphasis,
     window_coefficients,
 )
+from oracles import fft_r22_recursive  # noqa: E402
 
 BIT_WIDTHS = (4, 7, 12, 16)
 LOG_LUT = [math.log2(1 + i / 16) for i in range(17)]
@@ -123,6 +128,17 @@ def fft_recursive(re, im, fmt: QFormat, clipped: list):
         out_re[:, r::4] = sr
         out_im[:, r::4] = si
     return out_re, out_im
+
+
+def preemphasis_shifted_copy(samples, cfg: PreemphasisConfig, fmt: QFormat | None = None):
+    """Pre-emphasis through a shifted copy of the whole input (the former implementation)."""
+    if fmt is None:
+        x = np.asarray(samples, dtype=np.float64)
+        prev = np.concatenate(([0.0], x[:-1]))
+        return x - cfg.alpha * prev
+    raw = np.asarray(samples, dtype=np.int64)
+    prev = np.concatenate(([0], raw[:-1]))
+    return saturate_array(raw - saturate_array(prev - (prev >> cfg.k), fmt), fmt)
 
 
 def frame_and_window_stacked(samples, cfg: PipelineConfig):
@@ -208,6 +224,26 @@ def test_log_compress_matches_loop_at_powers_of_two_and_floor(bits):
     assert_same_bits(got, log_compress_loop(energies[np.newaxis, :], cfg))
 
 
+# ------------------------------------------------------------ pre-emphasis
+
+
+@pytest.mark.parametrize("k", (1, 5, 9))
+@pytest.mark.parametrize("bits", BIT_WIDTHS)
+def test_preemphasis_in_place_matches_shifted_copy(k, bits):
+    cfg, fmt = PreemphasisConfig(k), QFormat(bits, bits - 1)
+    rng = np.random.default_rng(k * 100 + bits)
+    # signed zeros, full-scale runs whose difference saturates, random words
+    x = np.concatenate([[-0.0, 0.0, -0.0], rng.uniform(-1, 1, 500), [-1.0, 1.0, -1.0, -0.0]])
+    raw = np.concatenate([rng.choice([fmt.raw_min, fmt.raw_max], 200),
+                          rng.integers(fmt.raw_min, fmt.raw_max + 1, 300)])
+    for n in (0, 1, 2, len(x)):
+        got, want = preemphasis(x[:n], cfg), preemphasis_shifted_copy(x[:n], cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert_same_bits(preemphasis(raw[:n], cfg, fmt), preemphasis_shifted_copy(raw[:n], cfg, fmt))
+    # a strided view and an int32 input read as int64 words
+    assert_same_bits(preemphasis(raw[::3].astype(np.int32), cfg, fmt), preemphasis_shifted_copy(raw[::3], cfg, fmt))
+
+
 # --------------------------------------------------------------------- FFT
 
 
@@ -242,6 +278,37 @@ def test_fft_levels_match_recursion_at_full_scale(n, bits):
     got = _fft_r22_fixed(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
+
+
+def float_frames(kind: str, shape: tuple[int, int], rng) -> np.ndarray:
+    """Complex frames built as fft_r22sdf builds them, re + 1j * im."""
+    zero = np.zeros(shape)
+    if kind == "complex":
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    elif kind == "real":
+        re, im = rng.uniform(-1, 1, shape), zero
+    elif kind == "zeros":  # signed zeros on both parts
+        re, im = rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
+    elif kind == "impulses":  # one per frame, at a random bin
+        re, im = zero.copy(), zero
+        re[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = rng.choice([-1.0, 0.5, 1.0], shape[0])
+    elif kind == "minus_ones":
+        re, im = -np.ones(shape), zero
+    else:  # small integers
+        re, im = rng.integers(-8, 9, shape).astype(float), rng.integers(-8, 9, shape).astype(float)
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("kind", ("complex", "real", "zeros", "impulses", "minus_ones", "small_ints"))
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+@settings(max_examples=15, deadline=None)
+@given(n_frames=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_float_fft_levels_match_recursion_byte_for_byte(n, kind, n_frames, seed):
+    x = float_frames(kind, (n_frames, n), np.random.default_rng(seed))
+    got, want = _fft_r22_float(x), fft_r22_recursive(x)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    # C-contiguous copies, so signed zeros and every rounding count
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
