@@ -272,9 +272,9 @@ def _fft_r22_float(x: np.ndarray) -> np.ndarray:
     bufs = np.empty((2, n * n_frames), dtype=np.complex128)  # each level writes the other
     tmp = np.empty(n // 4 * n_frames, dtype=np.complex128)  # one branch of any level
     while m >= 4:
-        q = m // 4
+        q, blocks = m // 4, n // m
         a, b, c, d = (v[:, k * q : (k + 1) * q] for k in range(4))
-        out, t = bufs[0].reshape(-1, 4, q, n_frames), tmp.reshape(-1, q, n_frames)
+        out, t = bufs[0].reshape(blocks, 4, q, n_frames), tmp.reshape(blocks, q, n_frames)
         u0, u2, u1, u3 = (out[:, k] for k in range(4))  # twiddle exponents 0, 1, 2, 3
         w1, w2, w3 = _twiddles(m)[:, :, np.newaxis]
         np.add(a, c, out=u0)  # t0
@@ -289,9 +289,9 @@ def _fft_r22_float(x: np.ndarray) -> np.ndarray:
         u3 += u2  # u3 = t2 + j t3
         np.multiply(t, w1, out=u2)
         u3 *= w3
-        v, m, bufs = out.reshape(-1, q, n_frames), q, bufs[::-1]
+        v, m, bufs = out.reshape(4 * blocks, q, n_frames), q, bufs[::-1]
     if m == 2:  # trailing radix-2 stage when log2(N) is odd
-        out = bufs[0].reshape(-1, 2, n_frames)
+        out = bufs[0].reshape(n // 2, 2, n_frames)
         np.add(v[:, 0], v[:, 1], out=out[:, 0])
         np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
         v = out
@@ -313,21 +313,23 @@ def _fft_dtype(fmt: QFormat) -> np.dtype:
 
 
 @lru_cache(maxsize=None)
-def _twiddle_rom(m: int, fmt: QFormat) -> tuple[tuple[np.ndarray, ...], ...]:
+def _twiddle_rom(m: int, fmt: QFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
 
-    Each branch gets (w_re, w_im, trivial) as (m/4, 1) columns: the ROM
-    words and the mask of trivial twiddles (1 and -j).  A trivial word is
-    stored exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so
-    its rounded multiply is an exact rotation.
+    Read-only (w, jw, trivial): the ROM words w and jw = j w = (-w_im, w_re) as
+    (2, 1, 3, m/4, 1) re and im planes, so (a + jb) w = a w + b jw, and the
+    (3, m/4, 1) mask of trivial twiddles (1 and -j).  A trivial word is stored
+    exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so its rounded
+    multiply is an exact rotation.
     """
     w = _twiddles(m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
-    cols = [np.where(trivial, np.rint(p * (1 << fmt.frac_bits)), quantize_array(p, fmt))
-            .astype(_fft_dtype(fmt)) for p in (w.real, w.imag)] + [trivial]
-    for col in cols:
-        col.setflags(write=False)
-    return tuple(tuple(col[b, :, np.newaxis] for col in cols) for b in range(3))
+    w_re, w_im = (np.where(trivial, np.rint(p * (1 << fmt.frac_bits)), quantize_array(p, fmt))
+                  .astype(_fft_dtype(fmt)) for p in (w.real, w.imag))
+    rom = np.array([[w_re, w_im], [-w_im, w_re]])[:, :, np.newaxis, :, :, np.newaxis]
+    for a in (rom, trivial):
+        a.setflags(write=False)
+    return rom[0], rom[1], trivial[:, :, np.newaxis]
 
 
 @lru_cache(maxsize=None)
@@ -348,10 +350,12 @@ def _bin_order(n: int) -> np.ndarray:
 def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.ndarray, np.ndarray]:
     """Bit-accurate radix-2^2 DIF over (frames, N), level by level.
 
-    Every stage output is halved.  Blocks are held as (blocks, m, frames)
-    so each butterfly runs on whole rows of frames; a size-m level turns
-    each block into four size-m/4 blocks, so bins come out digit-reversed
-    and one permutation per N restores natural order and widens to int64.
+    Every stage output is halved.  A size-m level holds one (2, blocks, m,
+    frames) array of re and im planes, so each step runs once on both planes
+    over whole rows of frames, -j swaps the planes and a twiddle w turns a + jb
+    into a w + b jw (_twiddle_rom).  The level turns each block into four
+    size-m/4 blocks, so bins come out digit-reversed and one permutation per N
+    restores natural order and widens to int64.
 
     Words are int32 where _fft_dtype proves they fit.  With raw inputs in
     fmt (b bits, f fraction bits), a multiply's saturated inputs have |v| <=
@@ -360,42 +364,37 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
     < 2^31 at b = 16, and its rounding stays within 2^f.  A butterfly sum is
     at most 2 (raw_max + 1), covering the unsaturated -j bypass word.
     """
-    n, n_frames = re.shape[1], re.shape[0]
-    xr, xi = (np.ascontiguousarray(v.T, dtype=_fft_dtype(fmt)).reshape(1, n, n_frames) for v in (re, im))
-    m = n
+    n_frames, n = re.shape
+    x, m = np.array((re.T, im.T), dtype=_fft_dtype(fmt))[:, np.newaxis], n  # (2, blocks, m, frames)
     while m >= 4:
-        q = m // 4
-        ar, br, cr, dr = (xr[:, k * q : (k + 1) * q] for k in range(4))
-        ai, bi, ci, di = (xi[:, k * q : (k + 1) * q] for k in range(4))
-        # stage 1 (span m/2), halved
-        t0r, t0i = _half(ar + cr), _half(ai + ci)
-        t1r, t1i = _half(br + dr), _half(bi + di)
-        t2r, t2i = _half(ar - cr), _half(ai - ci)
-        t3r, t3i = _half(br - dr), _half(bi - di)
-        out_re = np.empty((xr.shape[0], 4, q, n_frames), dtype=xr.dtype)
-        out_im = np.empty_like(out_re)
-        # stage 2 (span m/4) with -j on the cross branch, halved, in twiddle
-        # exponent order: u0, u2 = t2 - j t3, u1, u3 = t2 + j t3
-        stage2 = (t0r + t1r, t0i + t1i), (t2r + t3i, t2i - t3r), (t0r - t1r, t0i - t1i), (t2r - t3i, t2i + t3r)
-        for b, (vr, vi) in enumerate(stage2):
-            vr, vi = (saturate_array(_half(v), fmt, out=v) for v in (vr, vi))
-            if b and m > 4:  # every twiddle of a size-4 level is 1
-                # every twiddle takes the rounded multiply with its ROM
-                # word; a trivial one (1, -j) is then an exact rotation and,
-                # bypassing the multiplier in the hardware, is not saturated
-                w_re, w_im, trivial = _twiddle_rom(m, fmt)[b - 1]
-                vr, vi = (rshift_round_even_array(vr * w_re - vi * w_im, fmt.frac_bits),
-                          rshift_round_even_array(vr * w_im + vi * w_re, fmt.frac_bits))
-                for v in (vr, vi):
-                    np.copyto(v, saturate_array(v, fmt), where=~trivial)
-            out_re[:, b], out_im[:, b] = vr, vi
-        xr, xi = out_re.reshape(-1, q, n_frames), out_im.reshape(-1, q, n_frames)
-        m = q
+        q, blocks = m // 4, n // m
+        a, b, c, d = (x[:, :, k * q : (k + 1) * q] for k in range(4))
+        # stage 1 (span m/2), halved; t3 becomes -j t3 = (t3_im, -t3_re)
+        t0, t1, t2, t3 = _half(a + c), _half(b + d), _half(a - c), _half(b - d)[::-1]
+        np.negative(t3[1], out=t3[1])
+        # stage 2 (span m/4), in twiddle exponent order: u0, u2 = t2 - j t3,
+        # u1, u3 = t2 + j t3; then one halve-and-saturate pass
+        out = np.empty((2, blocks, 4, q, n_frames), dtype=x.dtype)
+        u0, u2, u1, u3 = (out[:, :, k] for k in range(4))
+        np.add(t0, t1, out=u0)
+        np.subtract(t0, t1, out=u1)
+        np.add(t2, t3, out=u2)
+        np.subtract(t2, t3, out=u3)
+        saturate_array(_half(out), fmt, out=out)
+        if m > 4:  # every twiddle of a size-4 level is 1
+            # every twiddle takes the rounded multiply with its ROM word; a
+            # trivial one (1, -j) is then an exact rotation and, bypassing
+            # the multiplier in the hardware, is not saturated
+            w, jw, trivial = _twiddle_rom(m, fmt)
+            u = out[:, :, 1:]
+            v = rshift_round_even_array(u[:1] * w + u[1:] * jw, fmt.frac_bits)
+            saturate_array(v, fmt, out=u)
+            np.copyto(u, v, where=trivial)
+        x, m = out.reshape(2, 4 * blocks, q, n_frames), q
     if m == 2:  # trailing radix-2 stage when log2(N) is odd
-        xr, xi = (saturate_array(np.stack([_half(v[:, 0] + v[:, 1]), _half(v[:, 0] - v[:, 1])], axis=1), fmt)
-                  for v in (xr, xi))
-    order = _bin_order(n)
-    return tuple(v.reshape(n, n_frames)[order].astype(np.int64).T for v in (xr, xi))
+        x = saturate_array(_half(np.stack((x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]), axis=2)), fmt)
+    out = x.reshape(2, n, n_frames)[:, _bin_order(n)].astype(np.int64)
+    return tuple(out.transpose(0, 2, 1))
 
 
 def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:

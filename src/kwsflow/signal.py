@@ -18,22 +18,26 @@ from .errors import (
     EmptySignal,
     InvalidFactor,
     InvalidParams,
+    Rule,
     UnsupportedFormat,
 )
 
 SPEECH_TONES_HZ = (300.0, 800.0, 1800.0, 3400.0)
+POSITIVE_INT = Rule(int, lo=1)  # a sample rate, a decimation factor
 
 
 @dataclass(frozen=True)
 class SignalBuffer:
-    """Mono audio: float samples in [-1, 1] at a fixed sample rate."""
+    """Mono audio: a 1-D array of float samples in [-1, 1] at a fixed integer sample rate."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise InvalidParams(f"sample_rate must be > 0, got {self.sample_rate}")
+        if np.ndim(self.samples) != 1:
+            raise InvalidParams(f"samples must be 1-D, got shape {np.shape(self.samples)}")
+        if not POSITIVE_INT.admits(self.sample_rate):
+            raise InvalidParams(f"sample_rate must be {POSITIVE_INT}, got {self.sample_rate!r}")
         if not np.all(np.isfinite(self.samples)):
             raise InvalidParams("samples must be finite")
 
@@ -173,8 +177,9 @@ def decimate(s: SignalBuffer, factor: int) -> SignalBuffer:
     window's 53 dB stopband clears the 40 dB floor.  The taps are scipy's
     firwin(window="hamming") bit for bit; its 1 - 0.54 is not the float 0.46.
     """
-    if not isinstance(factor, int) or factor < 1:
-        raise InvalidFactor(f"factor must be an integer >= 1, got {factor}")
+    if not POSITIVE_INT.admits(factor):
+        raise InvalidFactor(f"factor must be {POSITIVE_INT}, got {factor!r}")
+    factor = int(factor)
     if factor == 1:
         return s
     new_sr = s.sample_rate // factor

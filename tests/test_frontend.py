@@ -254,6 +254,15 @@ def test_fft_rejects_a_frame_length_outside_the_allowed_sizes(mode):
         fft_r22sdf(frames, frames, PipelineConfig(mode=mode))
 
 
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+def test_fft_of_an_empty_batch_is_empty(n, mode):
+    # the level loops' reshapes once inferred a block count from 0 words
+    frames = np.zeros((0, n), dtype=np.int64 if mode == "fixed" else np.float64)
+    re, im = fft_r22sdf(frames, frames, PipelineConfig(fft_size=n, mode=mode))
+    assert re.shape == im.shape == (0, n)
+
+
 # ----------------------------------------------------------- power and mel
 
 

@@ -317,8 +317,13 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     one = 1 << fmt.frac_bits
     i = np.arange(n // 4)
-    for b, (w_re, w_im, trivial) in enumerate(_twiddle_rom(n, fmt)):
-        assert w_re.shape == w_im.shape == trivial.shape == (n // 4, 1)
+    rom, jw, trivial_rows = _twiddle_rom(n, fmt)
+    assert rom.shape == jw.shape == (2, 1, 3, n // 4, 1) and trivial_rows.shape == (3, n // 4, 1)
+    assert not any(a.flags.writeable for a in (rom, jw, trivial_rows))
+    # jw = j w = (-w_im, w_re)
+    assert np.array_equal(jw[0], -rom[1]) and np.array_equal(jw[1], rom[0])
+    for b in range(3):
+        w_re, w_im, trivial = rom[0, 0, b], rom[1, 0, b], trivial_rows[b]
         words = list(zip(w_re[:, 0].tolist(), w_im[:, 0].tolist()))
         # exponent (b + 1) i is a multiple of n/4: the twiddle is 1 or -j
         assert np.array_equal(trivial[:, 0], (b + 1) * i % (n // 4) == 0)
@@ -338,7 +343,8 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     # stage 1 halves a + c and b + d to raw_min and raw_max, stage 2 halves
     # their difference to raw_min, on the branch whose twiddle at i is -j:
     # the unsaturated rotation leaves -raw_min = raw_max + 1
-    w_re, w_im, trivial = (col[i, 0] for col in _twiddle_rom(n, fmt)[1])
+    rom, _, trivial = _twiddle_rom(n, fmt)
+    w_re, w_im, trivial = rom[0, 0, 1, i, 0], rom[1, 0, 1, i, 0], trivial[1, i, 0]
     assert trivial and (w_re, w_im) == (0, -(1 << fmt.frac_bits))
     assert -rshift_round_even_array(np.int64(fmt.raw_min - fmt.raw_max), 1) == fmt.raw_max + 1
     rng = np.random.default_rng(n * 10 + bits)

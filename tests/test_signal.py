@@ -165,12 +165,41 @@ def test_decimate_matches_scipy_bit_for_bit(sr, factor):
     assert out.samples.tobytes() == ref.tobytes()
 
 
+def test_decimate_takes_a_numpy_integer_factor():
+    s = _sine(1000, sr=16000, n=4000)
+    out = decimate(s, np.int64(2))
+    assert type(out.sample_rate) is int and out.sample_rate == 8000
+    assert out.samples.tobytes() == decimate(s, 2).samples.tobytes()
+
+
 def test_decimate_rejects_bad_factor():
     s = _sine(1000)
     with pytest.raises(InvalidFactor):
         decimate(s, 0)
     with pytest.raises(InvalidFactor):
         decimate(s, -2)
+    with pytest.raises(InvalidFactor):
+        decimate(s, True)
+    with pytest.raises(InvalidFactor):
+        decimate(s, 2.0)
+
+
+def test_signal_buffer_rejects_two_dimensional_samples():
+    # unchecked, mfcc_pipeline read the 2 rows as 2 samples: SignalTooShort
+    with pytest.raises(InvalidParams, match="1-D"):
+        SignalBuffer(np.zeros((2, 40)), 8000)
+
+
+def test_signal_buffer_rejects_a_bool_rate():
+    # unchecked, True read as 1 Hz
+    with pytest.raises(InvalidParams, match="sample_rate"):
+        SignalBuffer(np.zeros(40), True)
+
+
+def test_signal_buffer_rejects_a_float_rate():
+    # unchecked, write_wav rounded 8000.5 into the file header
+    with pytest.raises(InvalidParams, match="sample_rate"):
+        SignalBuffer(np.zeros(40), 8000.5)
 
 
 def test_spectral_leakage_examples():
