@@ -10,12 +10,9 @@ byte-identical across runs and across any checkpoint/resume split.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -257,6 +254,8 @@ class RemoteReasoner:
         self.backoff_s = backoff_s
 
     def _post(self, messages: list[dict]) -> str:
+        import urllib.request  # here, so that `import kwsflow` skips the HTTP stack, 1.7 MB of RSS
+
         body = json.dumps({"model": self.model, "messages": messages}).encode()
         headers = {"Content-Type": "application/json"}
         key = os.environ.get("AIEDA_LLM_API_KEY")
@@ -279,6 +278,9 @@ class RemoteReasoner:
         The system message asks for one fenced block shaped as reply_shape;
         the user message is request as sorted JSON.
         """
+        import http.client  # here, as urllib.request is in _post
+        import urllib.error
+
         messages = [{"role": "system", "content": f"Reply with exactly one fenced JSON block: {reply_shape}."},
                     {"role": "user", "content": json.dumps(request, sort_keys=True)}]
         last: Exception | None = None

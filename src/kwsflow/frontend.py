@@ -264,7 +264,7 @@ def _twiddles(n: int) -> np.ndarray:
 
 
 def _fft_r22_float(x: np.ndarray) -> np.ndarray:
-    """Radix-2^2 DIF over (frames, N) complex128 frames in _fft_r22_fixed's levels and layout; every
+    """Radix-2^2 DIF over (frames, N) complex128 frames in _fft_r22_fixed's levels and block layout; every
     product is numpy's complex multiply on the operands of the recursion in tests/oracles.py (1j * t3,
     then u * w, the twiddle column broadcast over frames), which keeps its bits.  Returns an F-ordered view."""
     n_frames, n = x.shape

@@ -6,6 +6,8 @@ import http.client
 import inspect
 import json
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -892,16 +894,16 @@ def test_remote_transport_error_after_retries(canned_server):
 def test_remote_closes_each_error_reply_before_retrying(canned_server, monkeypatch):
     url, _ = canned_server
     errors = []
-    urlopen = flow.urllib.request.urlopen
+    urlopen = urllib.request.urlopen
 
     def recording_urlopen(req, timeout):
         try:
             return urlopen(req, timeout=timeout)
-        except flow.urllib.error.HTTPError as exc:
+        except urllib.error.HTTPError as exc:
             errors.append(exc)
             raise
 
-    monkeypatch.setattr(flow.urllib.request, "urlopen", recording_urlopen)
+    monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
     r = RemoteReasoner(url, backoff_s=0.01)
     # empty responses list makes the handler return HTTP 500 every time
     with pytest.raises(RemoteProtocolError):
@@ -922,7 +924,7 @@ def test_remote_truncated_reply_retries_as_transport_error(monkeypatch):
         attempts.append(req)
         return contextlib.nullcontext(Truncated())
 
-    monkeypatch.setattr(flow.urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     with pytest.raises(RemoteProtocolError):
         RemoteReasoner("http://127.0.0.1:9", backoff_s=0).propose({"stage": "rtl"})
     assert len(attempts) == RemoteReasoner.RETRIES

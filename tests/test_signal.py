@@ -219,13 +219,23 @@ def test_spectral_leakage_degenerate():
         spectral_leakage(np.zeros(32))
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter, so modules other tests imported do not count
+def modules_after_import(prefixes: tuple[str, ...]) -> str:
+    """The modules starting with a prefix that `import kwsflow, kwsflow.cli` loads,
+    in a fresh interpreter, so modules other tests imported do not count."""
     src = str(Path(kwsflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     code = ("import sys, kwsflow, kwsflow.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+            f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    assert modules_after_import(("scipy",)) == "[]"
+
+
+def test_import_loads_no_http_stack():
+    # only a remote reasoner needs it, and it cost `import kwsflow` 1.7 MB of RSS
+    assert modules_after_import(("urllib.request", "http.client")) == "[]"
