@@ -255,7 +255,6 @@ class RemoteReasoner:
 
     def _post(self, messages: list[dict]) -> str:
         import urllib.request  # here, so that `import kwsflow` skips the HTTP stack, 1.7 MB of RSS
-
         body = json.dumps({"model": self.model, "messages": messages}).encode()
         headers = {"Content-Type": "application/json"}
         key = os.environ.get("AIEDA_LLM_API_KEY")
@@ -280,7 +279,6 @@ class RemoteReasoner:
         """
         import http.client  # here, as urllib.request is in _post
         import urllib.error
-
         messages = [{"role": "system", "content": f"Reply with exactly one fenced JSON block: {reply_shape}."},
                     {"role": "user", "content": json.dumps(request, sort_keys=True)}]
         last: Exception | None = None
