@@ -1,7 +1,7 @@
 """Fixed-point formats and saturating arithmetic on raw integer arrays.
 
-Values are raw integers against a Q-format (total bits, fraction bits,
-signedness).  Overflow always saturates, never wraps.
+Values are raw two's-complement integers against a Q-format (total bits,
+fraction bits).  Overflow always saturates, never wraps.
 Constants can be decomposed into canonical-signed-digit (CSD) form so a
 multiply becomes a handful of shifts and adds, mirroring a
 multiplierless hardware datapath.
@@ -17,11 +17,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class QFormat:
-    """Q-format descriptor: total bit count, fraction bits, signedness."""
+    """Signed Q-format descriptor: total bit count (sign included), fraction bits."""
 
     total_bits: int
     frac_bits: int
-    signed: bool = True
 
     def __post_init__(self) -> None:
         if not 2 <= self.total_bits <= 32:
@@ -33,13 +32,11 @@ class QFormat:
 
     @property
     def raw_min(self) -> int:
-        return -(1 << (self.total_bits - 1)) if self.signed else 0
+        return -(1 << (self.total_bits - 1))
 
     @property
     def raw_max(self) -> int:
-        if self.signed:
-            return (1 << (self.total_bits - 1)) - 1
-        return (1 << self.total_bits) - 1
+        return (1 << (self.total_bits - 1)) - 1
 
     @property
     def lsb(self) -> float:
@@ -108,13 +105,8 @@ def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
 
 # ---------------------------------------------------------------------------
 # Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64
-# arrays or word_dtype's int32.  Same semantics as the scalar oracles in
+# arrays or the FFT's int32 words.  Same semantics as the scalar oracles in
 # tests/oracles.py, which the property tests compare them against.
-
-
-def word_dtype(bound: int) -> np.dtype:
-    """int32 if every |v| <= bound fits it (bound < 2^31), else int64."""
-    return np.dtype(np.int32 if bound < 1 << 31 else np.int64)
 
 
 def quantize_array(x: np.ndarray, fmt: QFormat) -> np.ndarray:

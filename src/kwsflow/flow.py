@@ -170,7 +170,8 @@ class ScriptedReasoner:
 
     The script maps stage names to ordered proposal lists.  propose(i)
     returns entry i; reflect on a failing report revises with entry i+1
-    when one exists and aborts otherwise.
+    when one exists and aborts otherwise, so every entry after a stage's
+    first must carry writes or params (else ConfigInvalid).
     """
 
     def __init__(self, script: dict) -> None:
@@ -178,6 +179,10 @@ class ScriptedReasoner:
             stage: [Proposal.from_dict(p) for p in entries]
             for stage, entries in script.items()
         }
+        for stage, entries in self.script.items():
+            for i, p in enumerate(entries[1:], 1):
+                if not p.writes and not p.params:
+                    raise ConfigInvalid(f"script {stage} entry {i} is a revision, so it needs writes or params")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedReasoner":

@@ -47,7 +47,6 @@ from .fixedpoint import (
     shift_add_planes,
     shift_add_raw_array,
     to_real_array,
-    word_dtype,
 )
 from .signal import SignalBuffer
 
@@ -76,6 +75,8 @@ MEL_BREAK_HZ = 700.0
 # MSB-plus-interpolated-fraction scheme, enough integer range for any
 # energy format used here.
 LOG_FORMAT = QFormat(12, 4)
+# Q-format of dct_ii's serial accumulator: LOG_FORMAT with 4 more integer bits.
+DCT_ACC_FORMAT = QFormat(16, 4)
 # Energy floor of the log stage, and the DSE's silence threshold.  A fixed
 # constant rather than one LSB of the current energy format: the floor
 # belongs to the comparison metric, so it must not move when candidate bit
@@ -307,11 +308,6 @@ def _half(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _fft_dtype(fmt: QFormat) -> np.dtype:
-    """Word of _fft_r22_fixed's levels and ROM, from its |v| |w| bound."""
-    return word_dtype(math.isqrt(2 * ((fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1)) ** 2) + 1)
-
-
 @lru_cache(maxsize=None)
 def _twiddle_rom(m: int, fmt: QFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
@@ -325,7 +321,7 @@ def _twiddle_rom(m: int, fmt: QFormat) -> tuple[np.ndarray, np.ndarray, np.ndarr
     w = _twiddles(m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
     w_re, w_im = (np.where(trivial, np.rint(p * (1 << fmt.frac_bits)), quantize_array(p, fmt))
-                  .astype(_fft_dtype(fmt)) for p in (w.real, w.imag))
+                  .astype(np.int32) for p in (w.real, w.imag))
     rom = np.array([[w_re, w_im], [-w_im, w_re]])[:, :, np.newaxis, :, :, np.newaxis]
     for a in (rom, trivial):
         a.setflags(write=False)
@@ -357,15 +353,15 @@ def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.nda
     size-m/4 blocks, so bins come out digit-reversed and one permutation per N
     restores natural order and widens to int64.
 
-    Words are int32 where _fft_dtype proves they fit.  With raw inputs in
-    fmt (b bits, f fraction bits), a multiply's saturated inputs have |v| <=
-    sqrt(2) 2^(b-1) and a ROM pair |w| <= 2^f + 1 (a trivial one, (+-2^f, 0),
-    is exact), so by Cauchy-Schwarz |vr w_re - vi w_im| <= |v| |w|, < 1.52e9
-    < 2^31 at b = 16, and its rounding stays within 2^f.  A butterfly sum is
+    Words are int32, as PIPELINE_RULES caps bit_width at 16.  With raw inputs
+    in fmt (b bits, f fraction bits), a multiply's saturated inputs have
+    |v| <= sqrt(2) 2^(b-1) and a ROM pair |w| <= 2^f + 1 (a trivial one,
+    (+-2^f, 0), is exact), so by Cauchy-Schwarz |vr w_re - vi w_im| <= |v| |w|,
+    < 1.52e9 < 2^31 at b = 16, and its rounding stays within 2^f.  A butterfly sum is
     at most 2 (raw_max + 1), covering the unsaturated -j bypass word.
     """
     n_frames, n = re.shape
-    x, m = np.array((re.T, im.T), dtype=_fft_dtype(fmt))[:, np.newaxis], n  # (2, blocks, m, frames)
+    x, m = np.array((re.T, im.T), dtype=np.int32)[:, np.newaxis], n  # (2, blocks, m, frames)
     while m >= 4:
         q, blocks = m // 4, n // m
         a, b, c, d = (x[:, :, k * q : (k + 1) * q] for k in range(4))
@@ -401,10 +397,13 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     """Radix-2^2 delay-feedback FFT over a batch of frames.
 
     Inputs are (n_frames, N): real samples in float mode, raw words of the
-    sample format in fixed mode (else UnsupportedFormat).  Outputs are F-ordered
-    views in natural bin order.  Fixed mode has a total gain of 1/N from the
-    per-stage halving, runs on int32 words up to 16 bits and returns int64.
+    sample format in fixed mode (else UnsupportedFormat), both of one shape
+    (else DimensionMismatch).  Outputs are F-ordered views in natural bin
+    order.  Fixed mode has a total gain of 1/N from the per-stage halving,
+    runs on int32 words and returns int64.
     """
+    if frames_re.ndim != 2 or frames_re.shape != frames_im.shape:
+        raise DimensionMismatch(f"need two (n_frames, N) arrays of one shape, got {frames_re.shape}, {frames_im.shape}")
     n = frames_re.shape[1]
     if n not in ALLOWED_FFT_SIZES:
         raise InvalidSize(f"fft size must be one of {ALLOWED_FFT_SIZES}, got {n}")
@@ -511,23 +510,22 @@ def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig)
 def log_compress(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Base-2 log with a fixed floor (ENERGY_FLOOR).
 
-    Float mode is log2(max(e, eps)).  Fixed mode finds the MSB position
-    and interpolates the fraction linearly from a 16-entry log table,
-    rounding the result to 4 fraction bits.
+    Float mode is log2(max(e, eps)).  Fixed mode reads the MSB position
+    and the mantissa from frexp and interpolates the fraction linearly
+    from a 16-entry log table, rounding the result to 4 fraction bits.
     """
     if cfg.mode == "float":
         return np.log2(np.maximum(energies, ENERGY_FLOOR))
     efmt = cfg.energy_format
     floor_raw = max(1, int(round(ENERGY_FLOOR * (1 << efmt.frac_bits))))
     e = np.maximum(np.asarray(energies, dtype=np.int64), floor_raw)
-    # frexp is exact on integers below 2^53: e = mant * 2^exp, mant in [0.5, 1)
-    msb = np.frexp(e.astype(np.float64))[1].astype(np.int64) - 1
-    lead = np.left_shift(1, msb)
-    t = (e - lead) / lead
-    seg = np.minimum((t * 16).astype(np.int64), 15)
-    fracpos = t * 16 - seg
+    # frexp is exact on integers below 2^53: e = mant 2^exp, mant in [0.5, 1),
+    # so the MSB is exp - 1 and t16 = 16 (e - 2^msb) / 2^msb, exactly, below 16
+    mant, exp = np.frexp(e.astype(np.float64))
+    t16 = mant * 32 - 16
+    seg = t16.astype(np.int64)
     lo = _LOG_LUT[seg]
-    out = msb + lo + (_LOG_LUT[seg + 1] - lo) * fracpos - efmt.frac_bits
+    out = (exp - 1) + lo + (_LOG_LUT[seg + 1] - lo) * (t16 - seg) - efmt.frac_bits
     return quantize_array(out, LOG_FORMAT)
 
 
@@ -537,7 +535,7 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     Fixed mode takes each product x[n] * cos[k][n] with the two-term CSD
     form of the cosine, by shifts and adds on the raw log values, then
     sums the products in order n = 0 .. n_mel - 1, saturating the running
-    sum after each term as a serial 16-bit accumulator does.
+    sum after each term as a serial DCT_ACC_FORMAT accumulator does.
     mfcc_pipeline's log values (-192..112 raw) never saturate it; it is
     kept so any 12-bit LOG_FORMAT input gets the datapath's bits.
     """
@@ -548,14 +546,13 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     bank = _plan(cfg).dct
     if cfg.mode == "float":
         return log_energies @ bank.T
-    acc_fmt = QFormat(min(32, LOG_FORMAT.total_bits + 4), LOG_FORMAT.frac_bits)
-    # (n_mel, n_mfcc, frames); a two-term product of a 12-bit log value
-    # fits acc_fmt, so saturating it first leaves the sum bit-identical
-    prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank, acc_fmt)
-    acc = np.zeros(prods.shape[1:], dtype=np.int64)
-    for prod in prods:
+    # (n_mel, n_mfcc, frames); each two-term product of a 12-bit log value fits
+    # DCT_ACC_FORMAT, so saturating it, and summing from the first, keeps the bits
+    prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank, DCT_ACC_FORMAT)
+    acc = prods[0]
+    for prod in prods[1:]:
         acc += prod
-        saturate_array(acc, acc_fmt, out=acc)
+        saturate_array(acc, DCT_ACC_FORMAT, out=acc)
     return np.ascontiguousarray(acc.T)
 
 

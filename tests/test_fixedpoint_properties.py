@@ -31,7 +31,7 @@ from oracles import (  # noqa: E402
 @st.composite
 def formats(draw, max_bits=32):
     total = draw(st.integers(2, max_bits))
-    return QFormat(total, draw(st.integers(0, total - 1)), draw(st.booleans()))
+    return QFormat(total, draw(st.integers(0, total - 1)))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from kwsflow import flow
+from kwsflow.cli import EXIT_BAD_INPUT, dispatch
 from kwsflow.errors import (
     CheckpointCorrupt,
     ConfigInvalid,
@@ -292,6 +293,18 @@ def test_scripted_reasoner_sequence():
     assert r.reflect({"stage": "rtl", "iteration": 1}, _pass()).kind == "accept"
     with pytest.raises(ScriptExhausted):
         r.propose({"stage": "rtl", "iteration": 5})
+
+
+def test_empty_later_script_entry_rejected_before_the_workdir_is_made(tmp_path, capsys):
+    # a later entry is only ever a revision, which needs writes or params
+    cfg = make_config(tmp_path, [_fail(), _pass()])
+    (tmp_path / "script.json").write_text(json.dumps({"rtl": [{"writes": {"top.v": "// 0\n"}}, {}]}))
+    (tmp_path / "flow.json").write_text(json.dumps(cfg))
+    assert dispatch(["flow", "run", "--config", str(tmp_path / "flow.json")]) == EXIT_BAD_INPUT
+    assert "ConfigInvalid: script rtl entry 1" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+    # an empty first entry is a proposal, and proposes nothing
+    ScriptedReasoner({"rtl": [{}, {"params": {"rev": 1}}]})
 
 
 def test_loop_iterates_until_pass(tmp_path):

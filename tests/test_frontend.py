@@ -254,6 +254,18 @@ def test_fft_rejects_a_frame_length_outside_the_allowed_sizes(mode):
         fft_r22sdf(frames, frames, PipelineConfig(mode=mode))
 
 
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+def test_fft_rejects_inputs_that_are_not_two_2d_arrays_of_one_shape(mode):
+    # float mode once broadcast a (1, N) imaginary part over every frame, fixed
+    # mode raised numpy's ValueError, and 1-D frames an IndexError in both
+    cfg = PipelineConfig(mode=mode)
+    frames = np.zeros((3, 32), dtype=np.int64)
+    for re, im in ((frames, frames[:1]), (frames[:1], frames), (frames[0], frames[0]),
+                   (frames[np.newaxis], frames[np.newaxis]), (frames, frames[:, :16])):
+        with pytest.raises(DimensionMismatch, match=str(re.shape)):
+            fft_r22sdf(re, im, cfg)
+
+
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
 @pytest.mark.parametrize("mode", ["float", "fixed"])
 def test_fft_of_an_empty_batch_is_empty(n, mode):
