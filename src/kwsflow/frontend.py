@@ -10,8 +10,9 @@ precision and serve as the oracle.
 The FFT follows a radix-2^2 decimation-in-frequency dataflow: pairs of
 butterfly stages with trivial -j rotations between them and twiddle
 multiplies after each pair, plus a trailing plain radix-2 stage when
-log2(N) is odd.  Fixed mode halves every stage output, for a known
-total gain of 1/N.
+log2(N) is odd.  Both modes run one level loop on separate re and im
+planes; fixed mode halves every stage output, for a known total gain of
+1/N.
 """
 
 from __future__ import annotations
@@ -256,52 +257,9 @@ def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     return shift_add_raw_array(frames, taps, cfg.sample_format)
 
 
-@lru_cache(maxsize=None)
-def _twiddles(n: int) -> np.ndarray:
-    """Read-only (3, n/4) table: row k - 1 holds W_n^(k i) = exp(-2 pi j k i / n)."""
-    w = np.exp(-2j * np.pi * (np.arange(1, 4)[:, np.newaxis] * np.arange(n // 4)) / n)
-    w.setflags(write=False)
-    return w
-
-
-def _fft_r22_float(x: np.ndarray) -> np.ndarray:
-    """Radix-2^2 DIF over (frames, N) complex128 frames in _fft_r22_fixed's levels and block layout; every
-    product is numpy's complex multiply on the operands of the recursion in tests/oracles.py (1j * t3,
-    then u * w, the twiddle column broadcast over frames), which keeps its bits.  Returns an F-ordered view."""
-    n_frames, n = x.shape
-    v, m = x.T[np.newaxis], n  # (blocks, m, frames); the first level reads x in place
-    bufs = np.empty((2, n * n_frames), dtype=np.complex128)  # each level writes the other
-    tmp = np.empty(n // 4 * n_frames, dtype=np.complex128)  # one branch of any level
-    while m >= 4:
-        q, blocks = m // 4, n // m
-        a, b, c, d = (v[:, k * q : (k + 1) * q] for k in range(4))
-        out, t = bufs[0].reshape(blocks, 4, q, n_frames), tmp.reshape(blocks, q, n_frames)
-        u0, u2, u1, u3 = (out[:, k] for k in range(4))  # twiddle exponents 0, 1, 2, 3
-        w1, w2, w3 = _twiddles(m)[:, :, np.newaxis]
-        np.add(a, c, out=u0)  # t0
-        np.add(b, d, out=u1)  # t1
-        np.subtract(u0, u1, out=t)  # u1 = t0 - t1
-        u0 += u1  # u0 = t0 + t1
-        np.multiply(t, w2, out=u1)
-        np.subtract(a, c, out=u2)  # t2
-        np.subtract(b, d, out=u3)  # t3
-        np.multiply(1j, u3, out=u3)
-        np.subtract(u2, u3, out=t)  # u2 = t2 - j t3
-        u3 += u2  # u3 = t2 + j t3
-        np.multiply(t, w1, out=u2)
-        u3 *= w3
-        v, m, bufs = out.reshape(4 * blocks, q, n_frames), q, bufs[::-1]
-    if m == 2:  # trailing radix-2 stage when log2(N) is odd
-        out = bufs[0].reshape(n // 2, 2, n_frames)
-        np.add(v[:, 0], v[:, 1], out=out[:, 0])
-        np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
-        v = out
-    return v.reshape(n, n_frames)[_bin_order(n)].T
-
-
-def _half(v: np.ndarray) -> np.ndarray:
-    """rshift_round_even_array(v, 1) in place: a tie (odd v) rounds to the even neighbour."""
-    q = v >> 1
+def _half(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rshift_round_even_array(v, 1) in place, with scratch q: a tie (odd v) rounds to the even neighbour."""
+    np.right_shift(v, 1, out=q)
     v &= q
     v &= 1
     v += q
@@ -309,23 +267,25 @@ def _half(v: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _twiddle_rom(m: int, fmt: QFormat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
 
-    Read-only (w, jw, trivial): the ROM words w and jw = j w = (-w_im, w_re) as
-    (2, 1, 3, m/4, 1) re and im planes, so (a + jb) w = a w + b jw, and the
-    (3, m/4, 1) mask of trivial twiddles (1 and -j).  A trivial word is stored
-    exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so its rounded
-    multiply is an exact rotation.
+    Read-only (w, trivial): the words w as (2, 1, 3, m/4, 1) re and im planes,
+    row k - 1 of branch k holding W_m^(k i) = exp(-2 pi j k i / m), and the
+    (3, m/4, 1) mask of trivial twiddles (1 and -j).  With fmt None the words
+    are the float64 parts of W.  In fmt they are int32, and a trivial word is
+    stored exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so its
+    rounded multiply is an exact rotation.
     """
-    w = _twiddles(m)
+    w = np.exp(-2j * np.pi * (np.arange(1, 4)[:, np.newaxis] * np.arange(m // 4)) / m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
-    w_re, w_im = (np.where(trivial, np.rint(p * (1 << fmt.frac_bits)), quantize_array(p, fmt))
-                  .astype(np.int32) for p in (w.real, w.imag))
-    rom = np.array([[w_re, w_im], [-w_im, w_re]])[:, :, np.newaxis, :, :, np.newaxis]
+    rom = np.array([w.real, w.imag])
+    if fmt is not None:
+        rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt)).astype(np.int32)
+    rom = rom[:, np.newaxis, :, :, np.newaxis]
     for a in (rom, trivial):
         a.setflags(write=False)
-    return rom[0], rom[1], trivial[:, :, np.newaxis]
+    return rom, trivial[:, :, np.newaxis]
 
 
 @lru_cache(maxsize=None)
@@ -343,54 +303,87 @@ def _bin_order(n: int) -> np.ndarray:
     return order
 
 
-def _fft_r22_fixed(re: np.ndarray, im: np.ndarray, fmt: QFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-accurate radix-2^2 DIF over (frames, N), level by level.
+def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
+    """Radix-2^2 DIF over (frames, N), level by level: on int32 words in fmt, bit-accurately, or on
+    float64 words with fmt None.
 
-    Every stage output is halved.  A size-m level holds one (2, blocks, m,
-    frames) array of re and im planes, so each step runs once on both planes
-    over whole rows of frames, -j swaps the planes and a twiddle w turns a + jb
-    into a w + b jw (_twiddle_rom).  The level turns each block into four
-    size-m/4 blocks, so bins come out digit-reversed and one permutation per N
-    restores natural order and widens to int64.
+    A size-m level holds re and im as the two planes of one (2, blocks, m,
+    frames) array, so each step runs over whole rows of frames.  Stage 1 writes
+    into a second array of that size and stage 2 writes back, pairing each plane
+    of t2 with the other plane of t3, as -j t = (t_im, -t_re).  A twiddle takes
+    u w from u times w and u times w's swapped planes, in the second array's
+    dead words.  Each float product and sum is an elementwise ufunc call of its
+    own, rounded alone under any SIMD dispatch, so no bit depends on the host.
+    A level turns each block into four size-m/4 blocks, so bins come out
+    digit-reversed; one permutation per N restores natural order.
 
-    Words are int32, as PIPELINE_RULES caps bit_width at 16.  With raw inputs
-    in fmt (b bits, f fraction bits), a multiply's saturated inputs have
-    |v| <= sqrt(2) 2^(b-1) and a ROM pair |w| <= 2^f + 1 (a trivial one,
-    (+-2^f, 0), is exact), so by Cauchy-Schwarz |vr w_re - vi w_im| <= |v| |w|,
-    < 1.52e9 < 2^31 at b = 16, and its rounding stays within 2^f.  A butterfly sum is
-    at most 2 (raw_max + 1), covering the unsaturated -j bypass word.
+    Fixed mode halves every stage output and saturates stage 2's words and the
+    rounded twiddle products.  With raw inputs in fmt (b <= 16 bits, f fraction
+    bits), a multiply's saturated inputs have |v| <= sqrt(2) 2^(b-1) and a ROM
+    pair |w| <= 2^f + 1 (a trivial one, (+-2^f, 0), is exact), so by
+    Cauchy-Schwarz each part of v w is at most |v| |w| < 1.52e9 < 2^31, and its
+    rounding stays within 2^f.  A butterfly sum is at most 2 (raw_max + 1),
+    covering the unsaturated -j bypass word.  The result widens to int64.
     """
+    fixed = fmt is not None
     n_frames, n = re.shape
-    x, m = np.array((re.T, im.T), dtype=np.int32)[:, np.newaxis], n  # (2, blocks, m, frames)
+    x = np.empty((2, 1, n, n_frames), np.int32 if fixed else np.float64)
+    x[0, 0], x[1, 0] = re.T, im.T
+    t, m = np.empty_like(x), n
     while m >= 4:
         q, blocks = m // 4, n // m
-        a, b, c, d = (x[:, :, k * q : (k + 1) * q] for k in range(4))
-        # stage 1 (span m/2), halved; t3 becomes -j t3 = (t3_im, -t3_re)
-        t0, t1, t2, t3 = _half(a + c), _half(b + d), _half(a - c), _half(b - d)[::-1]
-        np.negative(t3[1], out=t3[1])
-        # stage 2 (span m/4), in twiddle exponent order: u0, u2 = t2 - j t3,
-        # u1, u3 = t2 + j t3; then one halve-and-saturate pass
-        out = np.empty((2, blocks, 4, q, n_frames), dtype=x.dtype)
-        u0, u2, u1, u3 = (out[:, :, k] for k in range(4))
+        # stage 1 (span m/2), into t: [t0, t1] = [a, b] + [c, d], [t2, t3] = [a, b] - [c, d]
+        halves, t = x.reshape(2, blocks, 2, 2, q, n_frames), t.reshape(2, blocks, 2, 2, q, n_frames)
+        np.add(halves[:, :, 0], halves[:, :, 1], out=t[:, :, 0])
+        np.subtract(halves[:, :, 0], halves[:, :, 1], out=t[:, :, 1])
+        if fixed:
+            _half(t, x.reshape(t.shape))
+        t = t.reshape(2, blocks, 4, q, n_frames)
+        t0, t1, (t2_re, t2_im), (t3_re, t3_im) = t.transpose(2, 0, 1, 3, 4)
+        # stage 2 (span m/4), into x's words in twiddle exponent order: u0 = t0 + t1,
+        # u2 = t2 - j t3, u1 = t0 - t1, u3 = t2 + j t3, where -j t3 = (t3_im, -t3_re)
+        out = x.reshape(2, blocks, 4, q, n_frames)
+        u0, u2, u1, u3 = out.transpose(2, 0, 1, 3, 4)
         np.add(t0, t1, out=u0)
         np.subtract(t0, t1, out=u1)
-        np.add(t2, t3, out=u2)
-        np.subtract(t2, t3, out=u3)
-        saturate_array(_half(out), fmt, out=out)
+        np.add(t2_re, t3_im, out=u2[0])
+        np.subtract(t2_im, t3_re, out=u2[1])
+        np.subtract(t2_re, t3_im, out=u3[0])
+        np.add(t2_im, t3_re, out=u3[1])
+        if fixed:
+            saturate_array(_half(out, t), fmt, out=out)
         if m > 4:  # every twiddle of a size-4 level is 1
-            # every twiddle takes the rounded multiply with its ROM word; a
-            # trivial one (1, -j) is then an exact rotation and, bypassing
-            # the multiplier in the hardware, is not saturated
-            w, jw, trivial = _twiddle_rom(m, fmt)
-            u = out[:, :, 1:]
-            v = rshift_round_even_array(u[:1] * w + u[1:] * jw, fmt.frac_bits)
-            saturate_array(v, fmt, out=u)
-            np.copyto(u, v, where=trivial)
+            # u w = (u_re w_re - u_im w_im, u_re w_im + u_im w_re): u times w
+            # into t's dead words, then u times w's swapped planes in place
+            w, trivial = _twiddle_rom(m, fmt)
+            u, p = out[:, :, 1:], t[:, :, 1:]
+            np.multiply(u, w, out=p)
+            np.multiply(u, w[::-1], out=u)
+            np.add(u[0], u[1], out=u[1])
+            np.subtract(p[0], p[1], out=u[0])
+            if fixed:
+                # every twiddle takes the rounded multiply with its ROM word; a trivial one (1, -j) is then an
+                # exact rotation and, bypassing the multiplier in the hardware, is not saturated.  Rounded half
+                # to even into p: u + (u >> f & 1) + 2^(f-1) - 1 carries into bit f exactly when
+                # rshift_round_even_array rounds up, and stays below 2^31 by the bound above
+                np.right_shift(u, fmt.frac_bits, out=p)
+                p &= 1
+                p += u
+                p += (1 << (fmt.frac_bits - 1)) - 1
+                p >>= fmt.frac_bits
+                saturate_array(p, fmt, out=u)
+                np.copyto(u, p, where=trivial)
         x, m = out.reshape(2, 4 * blocks, q, n_frames), q
-    if m == 2:  # trailing radix-2 stage when log2(N) is odd
-        x = saturate_array(_half(np.stack((x[:, :, 0] + x[:, :, 1], x[:, :, 0] - x[:, :, 1]), axis=2)), fmt)
-    out = x.reshape(2, n, n_frames)[:, _bin_order(n)].astype(np.int64)
-    return tuple(out.transpose(0, 2, 1))
+    if m == 2:  # trailing radix-2 stage when log2(N) is odd, into t's words
+        y = t.reshape(2, n // 2, 2, n_frames)
+        np.add(x[:, :, 0], x[:, :, 1], out=y[:, :, 0])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=y[:, :, 1])
+        if fixed:
+            saturate_array(_half(y, x.reshape(y.shape)), fmt, out=y)
+        x, t = y, x
+    # into t's words; "clip" writes out directly where "raise" would buffer it, and every index is in range
+    out = np.take(x.reshape(2, n, n_frames), _bin_order(n), axis=1, out=t.reshape(2, n, n_frames), mode="clip")
+    return tuple((out.astype(np.int64) if fixed else out).transpose(0, 2, 1))
 
 
 def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -398,25 +391,28 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
 
     Inputs are (n_frames, N): real samples in float mode, raw words of the
     sample format in fixed mode (else UnsupportedFormat), both of one shape
-    (else DimensionMismatch).  Outputs are F-ordered views in natural bin
-    order.  Fixed mode has a total gain of 1/N from the per-stage halving,
-    runs on int32 words and returns int64.
+    (else DimensionMismatch).  Both modes run _fft_r22's level loop, float
+    mode on float64 words with a gain of 1 and bits that do not depend on
+    numpy's SIMD dispatch.  Outputs are F-ordered views in natural bin order.
+    Fixed mode has a total gain of 1/N from the per-stage halving, runs on
+    int32 words and returns int64.
     """
     if frames_re.ndim != 2 or frames_re.shape != frames_im.shape:
         raise DimensionMismatch(f"need two (n_frames, N) arrays of one shape, got {frames_re.shape}, {frames_im.shape}")
     n = frames_re.shape[1]
     if n not in ALLOWED_FFT_SIZES:
         raise InvalidSize(f"fft size must be one of {ALLOWED_FFT_SIZES}, got {n}")
-    if cfg.mode == "float":
-        out = _fft_r22_float(frames_re + 1j * frames_im)
-        return out.real, out.imag
-    if not all(np.issubdtype(f.dtype, np.integer) for f in (frames_re, frames_im)):
-        raise UnsupportedFormat(f"fixed mode takes raw integer frames, got {frames_re.dtype} and {frames_im.dtype}")
+    fixed = cfg.mode == "fixed"
+    if not all(np.issubdtype(f.dtype, np.integer) if fixed else np.isrealobj(f) for f in (frames_re, frames_im)):
+        raise UnsupportedFormat(f"{cfg.mode} mode takes {'raw integer' if fixed else 'real'} frames, "
+                                f"got {frames_re.dtype} and {frames_im.dtype}")
+    if not fixed:
+        return _fft_r22(frames_re, frames_im, None)
     fmt = cfg.sample_format
-    for f in (frames_re, frames_im):  # the int32 proof of _fft_r22_fixed assumes words in fmt
+    for f in (frames_re, frames_im):  # the int32 proof of _fft_r22 assumes words in fmt
         if f.size and (f.min() < fmt.raw_min or f.max() > fmt.raw_max):
             raise UnsupportedFormat(f"fixed mode takes raw words in [{fmt.raw_min}, {fmt.raw_max}], got {f.min()}..{f.max()}")
-    return _fft_r22_fixed(frames_re, frames_im, fmt)
+    return _fft_r22(frames_re, frames_im, fmt)
 
 
 def power_spectrum(spec_re: np.ndarray, spec_im: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -611,7 +607,8 @@ def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
         if not fixed:
             # normalize by 1/N so both modes share one spectral scale (the
             # fixed datapath's per-stage halving has the same total gain)
-            sre, sim = sre / n, sim / n
+            sre /= n
+            sim /= n
         power[f0 : f0 + step] = power_spectrum(sre, sim, cfg)
     return power
 

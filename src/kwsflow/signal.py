@@ -46,16 +46,22 @@ class SignalBuffer:
 
 
 def read_wav(path: str | Path) -> SignalBuffer:
-    """Read a 16-bit PCM mono WAV file, normalizing raw/32768 to [-1, 1)."""
-    with wave.open(str(path), "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise UnsupportedFormat(f"expected mono, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise UnsupportedFormat(f"expected 16-bit PCM, got {wf.getsampwidth() * 8}-bit")
-        if wf.getcomptype() != "NONE":
-            raise UnsupportedFormat(f"expected uncompressed PCM, got {wf.getcomptype()}")
-        sr = wf.getframerate()
-        data = wf.readframes(wf.getnframes())
+    """Read a 16-bit PCM mono WAV file, normalizing raw/32768 to [-1, 1); any other
+    file, a cut or empty one included, raises UnsupportedFormat naming it."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise UnsupportedFormat(f"{path}: expected mono, got {wf.getnchannels()} channels")
+            if wf.getsampwidth() != 2:
+                raise UnsupportedFormat(f"{path}: expected 16-bit PCM, got {wf.getsampwidth() * 8}-bit")
+            if wf.getcomptype() != "NONE":
+                raise UnsupportedFormat(f"{path}: expected uncompressed PCM, got {wf.getcomptype()}")
+            sr = wf.getframerate()
+            data = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError) as exc:  # a bad header, or one cut short (EOFError, no message)
+        raise UnsupportedFormat(f"{path}: not a whole WAV file ({str(exc) or 'it ends inside its header'})") from exc
+    if len(data) % 2:
+        raise UnsupportedFormat(f"{path}: the data ends in a partial frame")
     raw = np.frombuffer(data, dtype="<i2")
     return SignalBuffer(raw.astype(np.float64) / 32768.0, sr)
 
@@ -149,20 +155,16 @@ def _one_pole(v: np.ndarray) -> np.ndarray:
     return np.array([acc := 0.25 * x + 0.75 * acc for x in v.tolist()])
 
 
-def band_power_fraction(s: SignalBuffer, cutoff_hz: float) -> float:
-    """Fraction of periodogram power at frequencies <= cutoff (DC included)."""
-    return band_power_fractions(s, (cutoff_hz,))[0]
-
-
 def band_power_fractions(s: SignalBuffer, cutoffs_hz) -> list[float]:
-    """band_power_fraction at each cutoff, all from one periodogram."""
+    """Fraction of periodogram power at frequencies <= each cutoff (DC included), all from one
+    periodogram, whose re^2 + im^2 rounds each operation, so no bit depends on numpy's SIMD dispatch."""
     if len(s) == 0:
         raise EmptySignal("cannot measure an empty signal")
     for cutoff_hz in cutoffs_hz:
         if not 0 < cutoff_hz <= s.sample_rate / 2:
             raise InvalidParams(f"cutoff must be in (0, sr/2], got {cutoff_hz}")
     spectrum = np.fft.fft(s.samples)
-    power = np.abs(spectrum) ** 2
+    power = spectrum.real ** 2 + spectrum.imag ** 2
     freqs = np.abs(np.fft.fftfreq(len(s), d=1.0 / s.sample_rate))
     total = power.sum()
     if total == 0:

@@ -3,7 +3,7 @@
 kwsflow runs its fixed-point datapath on raw integer arrays only.  The
 scalar forms below define what each array helper in kwsflow.fixedpoint
 must compute element by element, dft_reference is the direct DFT the
-FFT is checked against, and fft_r22_recursive is the float FFT's former
+FFT is checked against, and fft_r22_recursive is the float FFT's
 recursive form, whose bits the level loop must keep.  Nothing in the
 package imports this module.
 """
@@ -16,7 +16,6 @@ from typing import Literal
 import numpy as np
 
 from kwsflow.fixedpoint import QFormat, ShiftAddApprox
-from kwsflow.frontend import _twiddles
 
 ArithKind = Literal["add", "sub", "mul"]
 
@@ -107,8 +106,27 @@ def dft_reference(frame: np.ndarray) -> np.ndarray:
     return m @ x
 
 
+def twiddles(n: int) -> np.ndarray:
+    """(3, n/4) table: row k - 1 holds W_n^(k i) = exp(-2 pi j k i / n)."""
+    return np.exp(-2j * np.pi * (np.arange(1, 4)[:, np.newaxis] * np.arange(n // 4)) / n)
+
+
+def complex_frames(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """complex128 frames with exactly these parts: re + 1j * im would add
+    0 * im to re and flip the sign of a zero part."""
+    x = np.empty(np.shape(re), dtype=np.complex128)
+    x.real, x.imag = re, im
+    return x
+
+
 def fft_r22_recursive(x: np.ndarray) -> np.ndarray:
-    """Radix-2^2 DIF recursion on (frames, N) arrays, double precision."""
+    """Radix-2^2 DIF recursion on (frames, N) complex128 arrays, double precision.
+
+    -j t is (t.im, -t.re), a size-4 level takes no twiddle (each is 1), and
+    each twiddle product u w is split into real products, re = u.re w.re -
+    u.im w.im and im = u.im w.re + u.re w.im, each rounded on its own, so no
+    bit depends on numpy's complex multiply loop.
+    """
     n = x.shape[1]
     if n == 1:
         return x
@@ -120,15 +138,22 @@ def fft_r22_recursive(x: np.ndarray) -> np.ndarray:
     t0, t1 = a + c, b + d
     t2, t3 = a - c, b - d
     # second stage with trivial -j rotation on the cross branch
+    mj_t3 = complex_frames(t3.imag, -t3.real)
     u0 = t0 + t1
     u1 = t0 - t1
-    u2 = t2 - 1j * t3
-    u3 = t2 + 1j * t3
-    w1, w2, w3 = _twiddles(n)
+    u2 = t2 + mj_t3
+    u3 = t2 - mj_t3
+
+    def twiddled(u, w):
+        return complex_frames(u.real * w.real - u.imag * w.imag, u.imag * w.real + u.real * w.imag)
+
+    if n > 4:  # every twiddle of a size-4 level is 1
+        w1, w2, w3 = twiddles(n)
+        u2, u1, u3 = twiddled(u2, w1), twiddled(u1, w2), twiddled(u3, w3)
     sub0 = fft_r22_recursive(u0)
-    sub1 = fft_r22_recursive(u2 * w1)
-    sub2 = fft_r22_recursive(u1 * w2)
-    sub3 = fft_r22_recursive(u3 * w3)
+    sub1 = fft_r22_recursive(u2)
+    sub2 = fft_r22_recursive(u1)
+    sub3 = fft_r22_recursive(u3)
     out = np.empty_like(x)
     out[:, 0::4] = sub0
     out[:, 1::4] = sub1

@@ -211,6 +211,38 @@ def test_missing_input_file_exits_two(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+BAD_WAVS = {  # each raised out of dispatch, or exited 2 with numpy's buffer-size message
+    "cut_to_30_bytes": lambda good: good[:30],
+    "empty": lambda good: b"",
+    "not_riff": lambda good: b"not a RIFF file, though it is named .wav",
+    "cut_by_one_byte": lambda good: good[:-1],
+}
+
+
+def _assert_bad_wav_named(capsys, code, path):
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: UnsupportedFormat: ") and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", BAD_WAVS)
+def test_mfcc_of_a_malformed_wav_exits_two_naming_it(tmp_path, capsys, damage):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(BAD_WAVS[damage](_gen(tmp_path).read_bytes()))
+    code = dispatch(["mfcc", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+    _assert_bad_wav_named(capsys, code, bad)
+
+
+def test_dse_over_a_corpus_with_a_truncated_wav_exits_two_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    good = _gen(corpus, "a.wav").read_bytes()
+    (corpus / "b.wav").write_bytes(good[:30])
+    code = dispatch(["dse", "--corpus", str(corpus), "--out", str(tmp_path / "dse.json")])
+    _assert_bad_wav_named(capsys, code, corpus / "b.wav")
+
+
 def test_flow_unknown_stage_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "flow.json"
     cfg.write_text(json.dumps({"workdir": str(tmp_path / "w"),

@@ -214,7 +214,7 @@ def test_run_dse_wav_directory_report_bytes(tmp_path):
     _write_corpus(tmp_path, 48000)
     report = run_dse(corpus_dir=tmp_path)
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
-    assert digest == "5a09e10c8aa1b107c67879ff77df38199976cc078cce87e50e376a97c66bc817"
+    assert digest == "67ff6835fe77ece8e0effe015c34d6d998097e4d8871969c835579057f720169"
 
 
 def test_run_dse_wav_directory_needs_an_integer_decimation_factor(tmp_path):

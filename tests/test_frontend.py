@@ -227,6 +227,14 @@ def test_fft_fixed_mode_rejects_real_valued_frames():
         fft_r22sdf(raw, np.zeros((1, n)), cfg)
 
 
+def test_fft_float_mode_rejects_complex_frames():
+    # the float planes would keep only their real parts
+    frames = np.full((1, 32), 1 + 1j)
+    for re, im in ((frames, np.zeros((1, 32))), (np.zeros((1, 32)), frames)):
+        with pytest.raises(UnsupportedFormat, match="complex128"):
+            fft_r22sdf(re, im, PipelineConfig(mode="float"))
+
+
 @pytest.mark.parametrize("value", [100, 2**20, 2**31, -65])
 def test_fft_fixed_mode_rejects_words_outside_the_sample_format(value):
     # unchecked, 100 and 2^20 saturated to bin 0 = 63 and 2^31 wrapped to bin 0 = 0

@@ -34,14 +34,14 @@ N_SAMPLES = 400
 GOLDEN = {
     "frontend_matrix": "f0e64784d334895389bd99ec3383a35b99cb70ff0234c5954962fb912b68bc86",
     "frontend_corpus": "edb21a5dab23df63a0a6b86f2f77f4d685d37767707b68515c7055b02c699ceb",
-    "dse_report": "f27573011947ec62fdc0fc086df6ace6db7c7b84e9212569b149581d08009b30",
+    "dse_report": "3e3dfad8569378c742bd3108a2fa469df0962bb392feec20aa4e0ce16d47d84b",
     "dse_partial_err_max": "5b0cc8b89cf975bcc5f5c83999f5654b8de486b85a280db2206417bba7177206",
-    "dse_partial_frac_max": "b41948d28795ca8760bdd7841486180ef71f76b61131dab550581113f0aaf996",
-    "dse_partial_leak_max": "879f2e2f32140883901e5ec1c02207ebabc90725225f6269e29675daf6c7f60e",
-    "dse_partial_loss_max": "790bc41720d686e4a51ca5bc76c81032b7b18132b65234cfef779adf6912a393",
-    "evaluate_point": "2c5654e80a293615af316e58b5c2253865f3f921c80e4c278f5d116db3bed9bb",
+    "dse_partial_frac_max": "9b1d0182da550d991e8b7eff450a27ebb92a9531c21cfe822782df5b22588747",
+    "dse_partial_leak_max": "d65b07b8ecc2586c756c0721095e2b6d18d0f715336fed7649f4a08734ecc8df",
+    "dse_partial_loss_max": "84e663d1eb4bdbf6d4d0f38be5012ca40ad5c86451804d5b143a0c6199be4299",
+    "evaluate_point": "dfc76fbc0f2ef3a4bad1551f492f7f826dff77aa3fe01a86edafd2063c30ae06",
     "flow_result": "94f04971cbafcbd2fed0bd636915d321e7f80732b7198c9819543993bab62efc",
-    "single_shot_flow": "b7cb026a7e82739550e775df8bda56a377dedd0fceaf0b7b5ef0539acea7caa7",
+    "single_shot_flow": "4b2c5346f25a1e67446122a1145193d47ed06cdb0ec8d93464e8c9cf3083c53e",
 }
 
 

@@ -32,8 +32,7 @@ from kwsflow.frontend import (  # noqa: E402
     LOG_FORMAT,
     PipelineConfig,
     PreemphasisConfig,
-    _fft_r22_fixed,
-    _fft_r22_float,
+    _fft_r22,
     _twiddle_rom,
     build_mel_filterbank,
     dct_ii,
@@ -43,7 +42,7 @@ from kwsflow.frontend import (  # noqa: E402
     preemphasis,
     window_coefficients,
 )
-from oracles import fft_r22_recursive  # noqa: E402
+from oracles import complex_frames, fft_r22_recursive, twiddles  # noqa: E402
 
 BIT_WIDTHS = (4, 7, 12, 16)
 LOG_LUT = [math.log2(1 + i / 16) for i in range(17)]
@@ -267,7 +266,7 @@ def test_fft_levels_match_recursion_on_random_frames(n, bits, data):
     raw = arrays(np.int64, shape, elements=st.integers(fmt.raw_min, fmt.raw_max))
     re, im = data.draw(raw), data.draw(raw)
     want = fft_recursive(re, im, fmt, [0])
-    got = _fft_r22_fixed(re, im, fmt)
+    got = _fft_r22(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
 
@@ -285,28 +284,28 @@ def test_fft_levels_match_recursion_at_full_scale(n, bits):
     clipped = [0]
     want = fft_recursive(re, im, fmt, clipped)
     assert clipped[0] > 0  # the full-scale frames do drive saturation
-    got = _fft_r22_fixed(re, im, fmt)
+    got = _fft_r22(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
 
 
-def float_frames(kind: str, shape: tuple[int, int], rng) -> np.ndarray:
-    """Complex frames built as fft_r22sdf builds them, re + 1j * im."""
+def float_frames(kind: str, shape: tuple[int, int], rng) -> tuple[np.ndarray, np.ndarray]:
+    """re and im parts of float frames, as fft_r22sdf takes them."""
     zero = np.zeros(shape)
     if kind == "complex":
-        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-    elif kind == "real":
-        re, im = rng.uniform(-1, 1, shape), zero
-    elif kind == "zeros":  # signed zeros on both parts
-        re, im = rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
-    elif kind == "impulses":  # one per frame, at a random bin
-        re, im = zero.copy(), zero
+        return rng.standard_normal(shape), rng.standard_normal(shape)
+    if kind == "real":
+        return rng.uniform(-1, 1, shape), zero
+    if kind == "zeros":  # signed zeros on both parts
+        return rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
+    if kind == "impulses":  # one per frame, at a random bin
+        re = zero.copy()
         re[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = rng.choice([-1.0, 0.5, 1.0], shape[0])
-    elif kind == "minus_ones":
-        re, im = -np.ones(shape), zero
-    else:  # small integers
-        re, im = rng.integers(-8, 9, shape).astype(float), rng.integers(-8, 9, shape).astype(float)
-    return re + 1j * im
+        return re, zero
+    if kind == "minus_ones":
+        return -np.ones(shape), zero
+    # small integers
+    return rng.integers(-8, 9, shape).astype(float), rng.integers(-8, 9, shape).astype(float)
 
 
 @pytest.mark.parametrize("kind", ("complex", "real", "zeros", "impulses", "minus_ones", "small_ints"))
@@ -314,9 +313,11 @@ def float_frames(kind: str, shape: tuple[int, int], rng) -> np.ndarray:
 @settings(max_examples=15, deadline=None)
 @given(n_frames=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
 def test_float_fft_levels_match_recursion_byte_for_byte(n, kind, n_frames, seed):
-    x = float_frames(kind, (n_frames, n), np.random.default_rng(seed))
-    got, want = _fft_r22_float(x), fft_r22_recursive(x)
-    assert got.shape == want.shape and got.dtype == want.dtype == np.complex128
+    re, im = float_frames(kind, (n_frames, n), np.random.default_rng(seed))
+    got_re, got_im = _fft_r22(re, im, None)
+    assert got_re.dtype == got_im.dtype == np.float64
+    got, want = complex_frames(got_re, got_im), fft_r22_recursive(complex_frames(re, im))
+    assert got.shape == want.shape
     # C-contiguous copies, so signed zeros and every rounding count
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
@@ -327,11 +328,10 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     one = 1 << fmt.frac_bits
     i = np.arange(n // 4)
-    rom, jw, trivial_rows = _twiddle_rom(n, fmt)
-    assert rom.shape == jw.shape == (2, 1, 3, n // 4, 1) and trivial_rows.shape == (3, n // 4, 1)
-    assert not any(a.flags.writeable for a in (rom, jw, trivial_rows))
-    # jw = j w = (-w_im, w_re)
-    assert np.array_equal(jw[0], -rom[1]) and np.array_equal(jw[1], rom[0])
+    rom, trivial_rows = _twiddle_rom(n, fmt)
+    assert rom.shape == (2, 1, 3, n // 4, 1) and trivial_rows.shape == (3, n // 4, 1)
+    assert rom.dtype == np.int32
+    assert not any(a.flags.writeable for a in (rom, trivial_rows))
     for b in range(3):
         w_re, w_im, trivial = rom[0, 0, b], rom[1, 0, b], trivial_rows[b]
         words = list(zip(w_re[:, 0].tolist(), w_im[:, 0].tolist()))
@@ -346,6 +346,16 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
+def test_float_twiddle_rom_holds_the_parts_of_each_twiddle(n):
+    rom, trivial = _twiddle_rom(n, None)
+    assert rom.dtype == np.float64 and not rom.flags.writeable
+    w = twiddles(n)
+    assert rom[0, 0, :, :, 0].tobytes() == w.real.tobytes()
+    assert rom[1, 0, :, :, 0].tobytes() == w.imag.tobytes()
+    assert np.array_equal(trivial, _twiddle_rom(n, PipelineConfig().sample_format)[1])
+
+
+@pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
 @pytest.mark.parametrize("bits", BIT_WIDTHS)
 def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
@@ -353,7 +363,7 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     # stage 1 halves a + c and b + d to raw_min and raw_max, stage 2 halves
     # their difference to raw_min, on the branch whose twiddle at i is -j:
     # the unsaturated rotation leaves -raw_min = raw_max + 1
-    rom, _, trivial = _twiddle_rom(n, fmt)
+    rom, trivial = _twiddle_rom(n, fmt)
     w_re, w_im, trivial = rom[0, 0, 1, i, 0], rom[1, 0, 1, i, 0], trivial[1, i, 0]
     assert trivial and (w_re, w_im) == (0, -(1 << fmt.frac_bits))
     assert -rshift_round_even_array(np.int64(fmt.raw_min - fmt.raw_max), 1) == fmt.raw_max + 1
@@ -365,7 +375,7 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     re[:, [i, i + 2 * q]] = fmt.raw_min
     re[:, [i + q, i + 3 * q]] = fmt.raw_max
     want = fft_recursive(re, im, fmt, [0])
-    got = _fft_r22_fixed(re, im, fmt)
+    got = _fft_r22(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
 
@@ -375,8 +385,8 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
 def test_fft_of_int32_frames_matches_int64_frames(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     re, im = full_scale_and_random_frames(fmt, n, 4, np.random.default_rng(n * 1000 + bits))
-    want = _fft_r22_fixed(re, im, fmt)
-    got = _fft_r22_fixed(re.astype(np.int32), im.astype(np.int32), fmt)
+    want = _fft_r22(re, im, fmt)
+    got = _fft_r22(re.astype(np.int32), im.astype(np.int32), fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
     oracle = fft_recursive(re, im, fmt, [0])
@@ -391,7 +401,7 @@ def test_fft_of_all_raw_min_frames_at_16_bits_matches_recursion(n):
     # raw_min on the real part, the imaginary part and both
     re, im = np.concatenate([low, zero, low]), np.concatenate([zero, low, low])
     want = fft_recursive(re, im, fmt, [0])
-    got = _fft_r22_fixed(re, im, fmt)
+    got = _fft_r22(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
 
@@ -468,7 +478,7 @@ def test_fft_and_log_of_strided_views_match_oracles():
     re, im = block[::2, ::2], block[1::2, 1::2]  # (7, 64) views, neither contiguous
     assert not re.flags.c_contiguous and not re.flags.f_contiguous
     want = fft_recursive(np.ascontiguousarray(re), np.ascontiguousarray(im), fmt, [0])
-    got = _fft_r22_fixed(re, im, fmt)
+    got = _fft_r22(re, im, fmt)
     assert_same_bits(got[0], want[0])
     assert_same_bits(got[1], want[1])
     energies = rng.integers(0, cfg.energy_format.raw_max, (40, 16))[::2, ::3]

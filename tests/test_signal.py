@@ -21,7 +21,7 @@ from kwsflow.frontend import window_coefficients
 from kwsflow.signal import (
     SignalBuffer,
     _one_pole,
-    band_power_fraction,
+    band_power_fractions,
     decimate,
     gen_signal,
     read_wav,
@@ -60,7 +60,7 @@ def test_gen_signal_rejects_unknown_kind_and_bad_params():
 
 def test_gen_signal_speechlike_mostly_below_4khz():
     s = gen_signal("speechlike", sample_rate=16000, n=16000, seed=3)
-    assert band_power_fraction(s, 4000.0) >= 0.90
+    assert band_power_fractions(s, [4000.0])[0] >= 0.90
 
 
 @pytest.mark.parametrize("n", [1, 7, 400, 8000])
@@ -108,19 +108,19 @@ def test_read_wav_rejects_8bit(tmp_path):
 
 
 def test_band_power_fraction_examples():
-    assert band_power_fraction(_sine(1000), 2000.0) > 0.99
+    assert band_power_fractions(_sine(1000), [2000.0])[0] > 0.99
     hi = _sine(5000, sr=16000, n=16000)
-    assert band_power_fraction(hi, 4000.0) < 0.01
+    assert band_power_fractions(hi, [4000.0])[0] < 0.01
     two = gen_signal(
         "multitone", {"freqs": [1000, 3000], "amps": [0.3, 0.3]}, n=8000
     )
-    assert abs(band_power_fraction(two, 2000.0) - 0.5) < 0.01
+    assert abs(band_power_fractions(two, [2000.0])[0] - 0.5) < 0.01
 
 
 def test_band_power_fraction_monotone_and_bounded():
     s = gen_signal("speechlike", sample_rate=16000, n=8000, seed=5)
     cuts = [500.0, 1000.0, 2000.0, 4000.0, 8000.0]
-    fracs = [band_power_fraction(s, c) for c in cuts]
+    fracs = [band_power_fractions(s, [c])[0] for c in cuts]
     assert all(0.0 <= f <= 1.0 + 1e-12 for f in fracs)
     assert all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
     assert fracs[-1] > 0.999
@@ -128,7 +128,7 @@ def test_band_power_fraction_monotone_and_bounded():
 
 def test_band_power_fraction_empty():
     with pytest.raises(EmptySignal):
-        band_power_fraction(SignalBuffer(np.array([]), 8000), 1000.0)
+        band_power_fractions(SignalBuffer(np.array([]), 8000), [1000.0])
 
 
 def test_decimate_factor_one_is_identity():
