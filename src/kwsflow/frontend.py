@@ -271,7 +271,7 @@ def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
 
     Read-only (w, trivial): the words w as (2, 1, 3, m/4, 1) re and im planes,
-    row k - 1 of branch k holding W_m^(k i) = exp(-2 pi j k i / m), and the
+    whose row k - 1 holds W_m^(k i) = exp(-2 pi j k i / m), and the
     (3, m/4, 1) mask of trivial twiddles (1 and -j).  With fmt None the words
     are the float64 parts of W.  In fmt they are int32, and a trivial word is
     stored exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so its

@@ -293,19 +293,19 @@ def float_frames(kind: str, shape: tuple[int, int], rng) -> tuple[np.ndarray, np
     """re and im parts of float frames, as fft_r22sdf takes them."""
     zero = np.zeros(shape)
     if kind == "complex":
-        return rng.standard_normal(shape), rng.standard_normal(shape)
-    if kind == "real":
-        return rng.uniform(-1, 1, shape), zero
-    if kind == "zeros":  # signed zeros on both parts
-        return rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
-    if kind == "impulses":  # one per frame, at a random bin
-        re = zero.copy()
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+    elif kind == "real":
+        re, im = rng.uniform(-1, 1, shape), zero
+    elif kind == "zeros":  # signed zeros on both parts
+        re, im = rng.choice([0.0, -0.0], shape), rng.choice([0.0, -0.0], shape)
+    elif kind == "impulses":  # one per frame, at a random bin
+        re, im = zero.copy(), zero
         re[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = rng.choice([-1.0, 0.5, 1.0], shape[0])
-        return re, zero
-    if kind == "minus_ones":
-        return -np.ones(shape), zero
-    # small integers
-    return rng.integers(-8, 9, shape).astype(float), rng.integers(-8, 9, shape).astype(float)
+    elif kind == "minus_ones":
+        re, im = -np.ones(shape), zero
+    else:  # small integers
+        re, im = rng.integers(-8, 9, shape).astype(float), rng.integers(-8, 9, shape).astype(float)
+    return re, im
 
 
 @pytest.mark.parametrize("kind", ("complex", "real", "zeros", "impulses", "minus_ones", "small_ints"))
