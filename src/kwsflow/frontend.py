@@ -267,13 +267,13 @@ def _half(v: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
+def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twiddle ROM of one size-m level, for its three rotated branches.
 
-    Read-only (w, trivial): the words w as (2, 1, 3, m/4, 1) re and im planes,
-    whose row k - 1 holds W_m^(k i) = exp(-2 pi j k i / m), and the
-    (3, m/4, 1) mask of trivial twiddles (1 and -j).  With fmt None the words
-    are the float64 parts of W.  In fmt they are int32, and a trivial word is
+    Read-only (w, jw, trivial): the words w and jw = j w = (-w_im, w_re) as
+    (2, 1, 3, m/4, 1) re and im planes, whose row k - 1 holds W_m^(k i) =
+    exp(-2 pi j k i / m), and the (3, m/4, 1) mask of trivial twiddles (1 and
+    -j).  With fmt None the words are the float64 parts of W.  In fmt they are int32, and a trivial word is
     stored exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so its
     rounded multiply is an exact rotation.
     """
@@ -282,10 +282,10 @@ def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
     rom = np.array([w.real, w.imag])
     if fmt is not None:
         rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt)).astype(np.int32)
-    rom = rom[:, np.newaxis, :, :, np.newaxis]
+    rom = np.array([rom, [-rom[1], rom[0]]])[:, :, np.newaxis, :, :, np.newaxis]
     for a in (rom, trivial):
         a.setflags(write=False)
-    return rom, trivial[:, :, np.newaxis]
+    return rom[0], rom[1], trivial[:, :, np.newaxis]
 
 
 @lru_cache(maxsize=None)
@@ -311,7 +311,7 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
     frames) array, so each step runs over whole rows of frames.  Stage 1 writes
     into a second array of that size and stage 2 writes back, pairing each plane
     of t2 with the other plane of t3, as -j t = (t_im, -t_re).  A twiddle takes
-    u w from u times w and u times w's swapped planes, in the second array's
+    u w from u times w and u times jw (_twiddle_rom), in the second array's
     dead words.  Each float product and sum is an elementwise ufunc call of its
     own, rounded alone under any SIMD dispatch, so no bit depends on the host.
     A level turns each block into four size-m/4 blocks, so bins come out
@@ -353,13 +353,13 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
         if fixed:
             saturate_array(_half(out, t), fmt, out=out)
         if m > 4:  # every twiddle of a size-4 level is 1
-            # u w = (u_re w_re - u_im w_im, u_re w_im + u_im w_re): u times w
-            # into t's dead words, then u times w's swapped planes in place
-            w, trivial = _twiddle_rom(m, fmt)
+            # u w = (u_re w_re - u_im w_im, u_im w_re + u_re w_im): u times w
+            # into t's dead words, then u times jw = (-w_im, w_re) in place
+            w, jw, trivial = _twiddle_rom(m, fmt)
             u, p = out[:, :, 1:], t[:, :, 1:]
             np.multiply(u, w, out=p)
-            np.multiply(u, w[::-1], out=u)
-            np.add(u[0], u[1], out=u[1])
+            np.multiply(u, jw, out=u)
+            np.subtract(u[1], u[0], out=u[1])
             np.subtract(p[0], p[1], out=u[0])
             if fixed:
                 # every twiddle takes the rounded multiply with its ROM word; a trivial one (1, -j) is then an

@@ -328,10 +328,12 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     one = 1 << fmt.frac_bits
     i = np.arange(n // 4)
-    rom, trivial_rows = _twiddle_rom(n, fmt)
-    assert rom.shape == (2, 1, 3, n // 4, 1) and trivial_rows.shape == (3, n // 4, 1)
-    assert rom.dtype == np.int32
-    assert not any(a.flags.writeable for a in (rom, trivial_rows))
+    rom, jw, trivial_rows = _twiddle_rom(n, fmt)
+    assert rom.shape == jw.shape == (2, 1, 3, n // 4, 1) and trivial_rows.shape == (3, n // 4, 1)
+    assert rom.dtype == jw.dtype == np.int32
+    assert not any(a.flags.writeable for a in (rom, jw, trivial_rows))
+    # jw = j w = (-w_im, w_re)
+    assert np.array_equal(jw[0], -rom[1]) and np.array_equal(jw[1], rom[0])
     for b in range(3):
         w_re, w_im, trivial = rom[0, 0, b], rom[1, 0, b], trivial_rows[b]
         words = list(zip(w_re[:, 0].tolist(), w_im[:, 0].tolist()))
@@ -347,12 +349,13 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
 def test_float_twiddle_rom_holds_the_parts_of_each_twiddle(n):
-    rom, trivial = _twiddle_rom(n, None)
-    assert rom.dtype == np.float64 and not rom.flags.writeable
+    rom, jw, trivial = _twiddle_rom(n, None)
+    assert rom.dtype == jw.dtype == np.float64 and not (rom.flags.writeable or jw.flags.writeable)
     w = twiddles(n)
     assert rom[0, 0, :, :, 0].tobytes() == w.real.tobytes()
     assert rom[1, 0, :, :, 0].tobytes() == w.imag.tobytes()
-    assert np.array_equal(trivial, _twiddle_rom(n, PipelineConfig().sample_format)[1])
+    assert jw[0].tobytes() == (-rom[1]).tobytes() and jw[1].tobytes() == rom[0].tobytes()
+    assert np.array_equal(trivial, _twiddle_rom(n, PipelineConfig().sample_format)[2])
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
@@ -363,7 +366,7 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     # stage 1 halves a + c and b + d to raw_min and raw_max, stage 2 halves
     # their difference to raw_min, on the branch whose twiddle at i is -j:
     # the unsaturated rotation leaves -raw_min = raw_max + 1
-    rom, trivial = _twiddle_rom(n, fmt)
+    rom, _, trivial = _twiddle_rom(n, fmt)
     w_re, w_im, trivial = rom[0, 0, 1, i, 0], rom[1, 0, 1, i, 0], trivial[1, i, 0]
     assert trivial and (w_re, w_im) == (0, -(1 << fmt.frac_bits))
     assert -rshift_round_even_array(np.int64(fmt.raw_min - fmt.raw_max), 1) == fmt.raw_max + 1
