@@ -362,15 +362,9 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
             np.subtract(u[1], u[0], out=u[1])
             np.subtract(p[0], p[1], out=u[0])
             if fixed:
-                # every twiddle takes the rounded multiply with its ROM word; a trivial one (1, -j) is then an
-                # exact rotation and, bypassing the multiplier in the hardware, is not saturated.  Rounded half
-                # to even into p: u + (u >> f & 1) + 2^(f-1) - 1 carries into bit f exactly when
-                # rshift_round_even_array rounds up, and stays below 2^31 by the bound above
-                np.right_shift(u, fmt.frac_bits, out=p)
-                p &= 1
-                p += u
-                p += (1 << (fmt.frac_bits - 1)) - 1
-                p >>= fmt.frac_bits
+                # every twiddle takes the rounded multiply with its ROM word, into p; a trivial one (1, -j) is
+                # then an exact rotation and, bypassing the multiplier in the hardware, is not saturated
+                rshift_round_even_array(u, fmt.frac_bits, out=p)
                 saturate_array(p, fmt, out=u)
                 np.copyto(u, p, where=trivial)
         x, m = out.reshape(2, 4 * blocks, q, n_frames), q
@@ -402,14 +396,14 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     n = frames_re.shape[1]
     if n not in ALLOWED_FFT_SIZES:
         raise InvalidSize(f"fft size must be one of {ALLOWED_FFT_SIZES}, got {n}")
-    fixed = cfg.mode == "fixed"
-    if not all(np.issubdtype(f.dtype, np.integer) if fixed else np.isrealobj(f) for f in (frames_re, frames_im)):
-        raise UnsupportedFormat(f"{cfg.mode} mode takes {'raw integer' if fixed else 'real'} frames, "
-                                f"got {frames_re.dtype} and {frames_im.dtype}")
-    if not fixed:
+    if cfg.mode == "float":
+        if not (np.isrealobj(frames_re) and np.isrealobj(frames_im)):
+            raise UnsupportedFormat(f"float mode takes real frames, got {frames_re.dtype} and {frames_im.dtype}")
         return _fft_r22(frames_re, frames_im, None)
     fmt = cfg.sample_format
-    for f in (frames_re, frames_im):  # the int32 proof of _fft_r22 assumes words in fmt
+    for f in (frames_re, frames_im):  # the int32 proof of _fft_r22 assumes raw words in fmt
+        if not np.issubdtype(f.dtype, np.integer):
+            raise UnsupportedFormat(f"fixed mode takes raw integer frames, got {f.dtype}")
         if f.size and (f.min() < fmt.raw_min or f.max() > fmt.raw_max):
             raise UnsupportedFormat(f"fixed mode takes raw words in [{fmt.raw_min}, {fmt.raw_max}], got {f.min()}..{f.max()}")
     return _fft_r22(frames_re, frames_im, fmt)
