@@ -129,13 +129,12 @@ def saturate_array(raw: np.ndarray, fmt: QFormat, out: np.ndarray | None = None)
     return raw.clip(word(fmt.raw_min), word(fmt.raw_max), out=out)
 
 
-def rshift_round_even_array(v: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
+def rshift_round_even_array(v: np.ndarray, s: int) -> np.ndarray:
     """Vectorized arithmetic right shift with round-to-nearest-even: q = v >> s
-    rounds up when (v mod 2^s) + (q & 1) > 2^(s-1), a sum of at most 2^s.
-    q is written into out if given, which must not overlap v."""
+    rounds up when (v mod 2^s) + (q & 1) > 2^(s-1), a sum of at most 2^s."""
     if s <= 0:
-        return np.left_shift(v, -s, out=out)
-    q = np.right_shift(v, s, out=out)
+        return v << -s
+    q = v >> s
     q += (v & ((1 << s) - 1)) + (q & 1) > 1 << (s - 1)
     return q
 

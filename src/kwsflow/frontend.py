@@ -362,9 +362,9 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
             np.subtract(u[1], u[0], out=u[1])
             np.subtract(p[0], p[1], out=u[0])
             if fixed:
-                # every twiddle takes the rounded multiply with its ROM word, into p; a trivial one (1, -j) is
-                # then an exact rotation and, bypassing the multiplier in the hardware, is not saturated
-                rshift_round_even_array(u, fmt.frac_bits, out=p)
+                # every twiddle takes the rounded multiply with its ROM word; a trivial one (1, -j) is then an
+                # exact rotation and, bypassing the multiplier in the hardware, is not saturated
+                p = rshift_round_even_array(u, fmt.frac_bits)
                 saturate_array(p, fmt, out=u)
                 np.copyto(u, p, where=trivial)
         x, m = out.reshape(2, 4 * blocks, q, n_frames), q

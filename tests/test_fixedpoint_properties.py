@@ -134,9 +134,6 @@ def test_rshift_round_even_array_matches_scalar(data):
         vs += [i64.min, i64.min + 1, i64.max - 1, i64.max]
     got = rshift_round_even_array(np.array(vs, dtype=np.int64), s)
     assert got.tolist() == [_rshift_round_even(v, s) for v in vs]
-    out = np.empty(len(vs), dtype=np.int64)
-    assert rshift_round_even_array(np.array(vs, dtype=np.int64), s, out=out) is out
-    assert out.tolist() == got.tolist()
     small = [v for v in vs if abs(_rshift_round_even(v, s)) < 2**31 and abs(v) < 2**31]
     if 0 < s < 31:
         small += [i32.min, i32.min + 1, i32.max - 1, i32.max]
