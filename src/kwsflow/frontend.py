@@ -271,36 +271,21 @@ def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray, n
     """Twiddle ROM of one size-m level, for its three rotated branches.
 
     Read-only (w, jw, trivial): the words w and jw = j w = (-w_im, w_re) as
-    (2, 1, 3, m/4, 1) re and im planes, whose row k - 1 holds W_m^(k i) =
-    exp(-2 pi j k i / m), and the (3, m/4, 1) mask of trivial twiddles (1 and
-    -j).  With fmt None the words are the float64 parts of W.  In fmt they are int32, and a trivial word is
-    stored exactly, as +-2^frac_bits or 0 (+1 is one past raw_max), so its
-    rounded multiply is an exact rotation.
+    (2, 3, 1, m/4, 1) re and im planes, whose row k - 1 holds W_m^(k i) =
+    exp(-2 pi j k i / m) for output k of each block, and the (3, 1, m/4, 1)
+    trivial mask (1 and -j).  Words are float64 parts of W with fmt None, and
+    int32 in fmt, where a trivial word is exact, +-2^frac_bits or 0 (+1 is one
+    past raw_max), so its rounded multiply is an exact rotation.
     """
-    w = np.exp(-2j * np.pi * (np.arange(1, 4)[:, np.newaxis] * np.arange(m // 4)) / m)
+    w = np.exp(-2j * np.pi * (np.arange(1, 4).reshape(3, 1, 1, 1) * np.arange(m // 4)[:, np.newaxis]) / m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
     rom = np.array([w.real, w.imag])
     if fmt is not None:
         rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt)).astype(np.int32)
-    rom = np.array([rom, [-rom[1], rom[0]]])[:, :, np.newaxis, :, :, np.newaxis]
+    rom = np.array([rom, [-rom[1], rom[0]]])
     for a in (rom, trivial):
         a.setflags(write=False)
-    return rom[0], rom[1], trivial[:, :, np.newaxis]
-
-
-@lru_cache(maxsize=None)
-def _bin_order(n: int) -> np.ndarray:
-    """Row of the level loop's output that holds each natural-order bin.
-
-    Level i splits each block into four (two in the trailing radix-2
-    stage), and sub-block r_i feeds every fourth bin of its block from
-    bin r_i on: bin r1 + 4 r2 + 16 r3 + ... sits in row ((r1 4 + r2) 4
-    + r3) ..., a mixed-radix digit reversal.
-    """
-    log2n = n.bit_length() - 1
-    order = np.arange(n).reshape((4,) * (log2n // 2) + (2,) * (log2n % 2)).T.ravel()
-    order.setflags(write=False)
-    return order
+    return rom[0], rom[1], trivial
 
 
 def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +299,9 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
     u w from u times w and u times jw (_twiddle_rom), in the second array's
     dead words.  Each float product and sum is an elementwise ufunc call of its
     own, rounded alone under any SIMD dispatch, so no bit depends on the host.
-    A level turns each block into four size-m/4 blocks, so bins come out
-    digit-reversed; one permutation per N restores natural order.
+    Stage 2 writes output r of block b to the next level's block r blocks + b
+    (Stockham's autosort), so the last level's block r1 + 4 r2 + 16 r3 + ...
+    holds that natural bin, and no permutation restores the order.
 
     Fixed mode halves every stage output and saturates stage 2's words and the
     rounded twiddle products.  With raw inputs in fmt (b <= 16 bits, f fraction
@@ -342,8 +328,8 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
         t0, t1, (t2_re, t2_im), (t3_re, t3_im) = t.transpose(2, 0, 1, 3, 4)
         # stage 2 (span m/4), into x's words in twiddle exponent order: u0 = t0 + t1,
         # u2 = t2 - j t3, u1 = t0 - t1, u3 = t2 + j t3, where -j t3 = (t3_im, -t3_re)
-        out = x.reshape(2, blocks, 4, q, n_frames)
-        u0, u2, u1, u3 = out.transpose(2, 0, 1, 3, 4)
+        out = x.reshape(2, 4, blocks, q, n_frames)
+        u0, u2, u1, u3 = out.transpose(1, 0, 2, 3, 4)
         np.add(t0, t1, out=u0)
         np.subtract(t0, t1, out=u1)
         np.add(t2_re, t3_im, out=u2[0])
@@ -351,12 +337,12 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
         np.subtract(t2_re, t3_im, out=u3[0])
         np.add(t2_im, t3_re, out=u3[1])
         if fixed:
-            saturate_array(_half(out, t), fmt, out=out)
+            saturate_array(_half(out, t.reshape(out.shape)), fmt, out=out)
         if m > 4:  # every twiddle of a size-4 level is 1
             # u w = (u_re w_re - u_im w_im, u_im w_re + u_re w_im): u times w
             # into t's dead words, then u times jw = (-w_im, w_re) in place
             w, jw, trivial = _twiddle_rom(m, fmt)
-            u, p = out[:, :, 1:], t[:, :, 1:]
+            u, p = out[:, 1:], t.reshape(out.shape)[:, 1:]
             np.multiply(u, w, out=p)
             np.multiply(u, jw, out=u)
             np.subtract(u[1], u[0], out=u[1])
@@ -368,15 +354,14 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
                 saturate_array(p, fmt, out=u)
                 np.copyto(u, p, where=trivial)
         x, m = out.reshape(2, 4 * blocks, q, n_frames), q
-    if m == 2:  # trailing radix-2 stage when log2(N) is odd, into t's words
-        y = t.reshape(2, n // 2, 2, n_frames)
-        np.add(x[:, :, 0], x[:, :, 1], out=y[:, :, 0])
-        np.subtract(x[:, :, 0], x[:, :, 1], out=y[:, :, 1])
+    if m == 2:  # trailing radix-2 stage when log2(N) is odd, into t's words: output r of block b is bin r n/2 + b
+        y = t.reshape(2, 2, n // 2, n_frames)
+        np.add(x[:, :, 0], x[:, :, 1], out=y[:, 0])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=y[:, 1])
         if fixed:
             saturate_array(_half(y, x.reshape(y.shape)), fmt, out=y)
-        x, t = y, x
-    # into t's words; "clip" writes out directly where "raise" would buffer it, and every index is in range
-    out = np.take(x.reshape(2, n, n_frames), _bin_order(n), axis=1, out=t.reshape(2, n, n_frames), mode="clip")
+        x = y
+    out = x.reshape(2, n, n_frames)
     return tuple((out.astype(np.int64) if fixed else out).transpose(0, 2, 1))
 
 

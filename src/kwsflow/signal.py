@@ -56,12 +56,12 @@ def read_wav(path: str | Path) -> SignalBuffer:
                 raise UnsupportedFormat(f"{path}: expected 16-bit PCM, got {wf.getsampwidth() * 8}-bit")
             if wf.getcomptype() != "NONE":
                 raise UnsupportedFormat(f"{path}: expected uncompressed PCM, got {wf.getcomptype()}")
-            sr = wf.getframerate()
-            data = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError) as exc:  # a bad header, or one cut short (EOFError, no message)
-        raise UnsupportedFormat(f"{path}: not a whole WAV file ({str(exc) or 'it ends inside its header'})") from exc
-    if len(data) % 2:
-        raise UnsupportedFormat(f"{path}: the data ends in a partial frame")
+            sr, nframes = wf.getframerate(), wf.getnframes()
+            data = wf.readframes(nframes)
+    except (wave.Error, EOFError, RuntimeError) as exc:  # a bad header, or a chunk cut short (no message)
+        raise UnsupportedFormat(f"{path}: not a whole WAV file ({str(exc) or 'a header or chunk is cut short'})") from exc
+    if len(data) < 2 * nframes:  # a cut data chunk, a partial last frame, or an unknown-length header
+        raise UnsupportedFormat(f"{path}: the data chunk holds {len(data) // 2} of the {nframes} frames its header declares")
     raw = np.frombuffer(data, dtype="<i2")
     return SignalBuffer(raw.astype(np.float64) / 32768.0, sr)
 

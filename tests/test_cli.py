@@ -1,10 +1,17 @@
 """End-to-end command-line interface checks."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from kwsflow.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_UNMET, dispatch
+from kwsflow.frontend import PipelineConfig
 
 
 def _gen(tmp_path, name="tone.wav", kind="sine", extra=()):
@@ -211,11 +218,13 @@ def test_missing_input_file_exits_two(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
-BAD_WAVS = {  # each raised out of dispatch, or exited 2 with numpy's buffer-size message
+BAD_WAVS = {  # each raised out of dispatch, exited 2 with numpy's buffer-size message, or read fewer frames
     "cut_to_30_bytes": lambda good: good[:30],
     "empty": lambda good: b"",
     "not_riff": lambda good: b"not a RIFF file, though it is named .wav",
     "cut_by_one_byte": lambda good: good[:-1],
+    "cut_by_two_bytes": lambda good: good[:-2],
+    "cut_by_ten_bytes": lambda good: good[:-10],
 }
 
 
@@ -307,3 +316,83 @@ def test_flow_mistyped_scenario_report_exits_two(tmp_path, capsys, report, named
     err = capsys.readouterr().err
     assert "ConfigInvalid" in err and "scen.json" in err and named in err
     assert not (tmp_path / "work").exists()
+
+
+
+def _mutations(st, region: int, byte):
+    """A mutation of a valid file: cut after some byte, junk appended, or up to
+    four bytes drawn from byte written at positions in its first region bytes."""
+    return st.one_of(
+        st.tuples(st.just("cut"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+        st.tuples(st.just("overwrite"), st.lists(st.tuples(st.integers(0, region - 1), byte), min_size=1, max_size=4)),
+    )
+
+
+def _mutate(good: bytes, mutation) -> bytes:
+    kind, arg = mutation
+    if kind == "cut":
+        return good[:arg % len(good)]
+    if kind == "append":
+        return good + arg
+    out = bytearray(good)
+    for at, byte in arg:
+        out[at % len(out)] = byte
+    return bytes(out)
+
+
+def _exit_code(argv: list[str]) -> int:
+    """dispatch(argv), which must exit 0 or 2 with no traceback on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(argv)
+    assert code in (EXIT_OK, EXIT_BAD_INPUT) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+    return code
+
+
+def test_mutated_wav_exits_zero_or_two(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    good, bad = _gen(tmp_path, extra=("--dur", "0.1")).read_bytes(), tmp_path / "bad.wav"
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(_mutations(st, 44, st.integers(0, 255)))  # 44 bytes: the RIFF, fmt and data headers
+    @hypothesis.example(("overwrite", [(17, 1)]))  # a fmt chunk past the RIFF chunk: wave raised RuntimeError
+    def exits_zero_or_two(mutation):
+        bad.write_bytes(_mutate(good, mutation))
+        _exit_code(["mfcc", "--in", str(bad), "--out", str(tmp_path / "o.csv")])
+        _exit_code(["compare", "--in", str(bad)])
+
+    exits_zero_or_two()
+
+
+# a flow whose every input is a name in the directory it runs from
+FLOW = {"workdir": "w", "stages": {"rtl": {"adapter": "mock", "scenario": "s.json", "budget": 1}},
+        "reasoner": {"kind": "scripted", "script": "p.json"}}
+FLOW_INPUTS = {"s.json": [{"status": "pass"}], "p.json": {"rtl": [{"writes": {"top.v": "x"}}]}}
+
+
+def test_mutated_pipeline_and_flow_json_exit_zero_or_two(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    wav = _gen(tmp_path, extra=("--dur", "0.1"))
+    good = {"pipeline": json.dumps({f.name: f.default for f in fields(PipelineConfig)}).encode(),
+            "flow": json.dumps(FLOW).encode()}
+    # no overwrite writes ".", "/" or "\\", so each path the flow names stays a name in its own directory
+    byte = st.integers(0, 255).filter(lambda b: b not in b"./\\")
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(sorted(good)), _mutations(st, 1 << 16, byte))
+    def exits_zero_or_two(surface, mutation):
+        case = Path(tempfile.mkdtemp(dir=tmp_path))
+        (case / "config.json").write_bytes(_mutate(good[surface], mutation))
+        if surface == "pipeline":
+            _exit_code(["mfcc", "--in", str(wav), "--config", str(case / "config.json"), "--out", str(case / "o.csv")])
+            return
+        for name, doc in FLOW_INPUTS.items():
+            (case / name).write_text(json.dumps(doc))
+        monkeypatch.chdir(case)
+        if _exit_code(["flow", "run", "--config", "config.json"]) == EXIT_BAD_INPUT:
+            assert sorted(os.listdir(case)) == ["config.json", *sorted(FLOW_INPUTS)]  # no workdir
+
+    exits_zero_or_two()

@@ -329,13 +329,13 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
     one = 1 << fmt.frac_bits
     i = np.arange(n // 4)
     rom, jw, trivial_rows = _twiddle_rom(n, fmt)
-    assert rom.shape == jw.shape == (2, 1, 3, n // 4, 1) and trivial_rows.shape == (3, n // 4, 1)
+    assert rom.shape == jw.shape == (2, 3, 1, n // 4, 1) and trivial_rows.shape == (3, 1, n // 4, 1)
     assert rom.dtype == jw.dtype == np.int32
     assert not any(a.flags.writeable for a in (rom, jw, trivial_rows))
     # jw = j w = (-w_im, w_re)
     assert np.array_equal(jw[0], -rom[1]) and np.array_equal(jw[1], rom[0])
     for b in range(3):
-        w_re, w_im, trivial = rom[0, 0, b], rom[1, 0, b], trivial_rows[b]
+        w_re, w_im, trivial = rom[0, b, 0], rom[1, b, 0], trivial_rows[b, 0]
         words = list(zip(w_re[:, 0].tolist(), w_im[:, 0].tolist()))
         # exponent (b + 1) i is a multiple of n/4: the twiddle is 1 or -j
         assert np.array_equal(trivial[:, 0], (b + 1) * i % (n // 4) == 0)
@@ -352,8 +352,8 @@ def test_float_twiddle_rom_holds_the_parts_of_each_twiddle(n):
     rom, jw, trivial = _twiddle_rom(n, None)
     assert rom.dtype == jw.dtype == np.float64 and not (rom.flags.writeable or jw.flags.writeable)
     w = twiddles(n)
-    assert rom[0, 0, :, :, 0].tobytes() == w.real.tobytes()
-    assert rom[1, 0, :, :, 0].tobytes() == w.imag.tobytes()
+    assert rom[0, :, 0, :, 0].tobytes() == w.real.tobytes()
+    assert rom[1, :, 0, :, 0].tobytes() == w.imag.tobytes()
     assert jw[0].tobytes() == (-rom[1]).tobytes() and jw[1].tobytes() == rom[0].tobytes()
     assert np.array_equal(trivial, _twiddle_rom(n, PipelineConfig().sample_format)[2])
 
@@ -367,7 +367,7 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     # their difference to raw_min, on the branch whose twiddle at i is -j:
     # the unsaturated rotation leaves -raw_min = raw_max + 1
     rom, _, trivial = _twiddle_rom(n, fmt)
-    w_re, w_im, trivial = rom[0, 0, 1, i, 0], rom[1, 0, 1, i, 0], trivial[1, i, 0]
+    w_re, w_im, trivial = rom[0, 1, 0, i, 0], rom[1, 1, 0, i, 0], trivial[1, 0, i, 0]
     assert trivial and (w_re, w_im) == (0, -(1 << fmt.frac_bits))
     assert -rshift_round_even_array(np.int64(fmt.raw_min - fmt.raw_max), 1) == fmt.raw_max + 1
     rng = np.random.default_rng(n * 10 + bits)
