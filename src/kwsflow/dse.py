@@ -11,9 +11,9 @@ the working design point; stages interact greedily, not jointly.
 
 _peak_stability and _dc_fraction read only power, so _power stops the
 front end there.  Computed once per signal, not per candidate: the
-periodogram every rate's retention reads, the float power of the bit-width
-walk (unless the window is csd2, whose taps depend on the width) and the
-power both mel shapes of _mel_delta read.
+periodogram every rate's retention reads, the float power and peak table
+of the bit-width walk (unless the window is csd2, whose taps depend on the
+width) and the power both mel shapes of _mel_delta read.
 """
 
 from __future__ import annotations
@@ -204,20 +204,25 @@ def _retention(corpus, rates) -> list[float]:
     return [float(np.mean([f[i] for f in fracs])) for i in range(len(rates))]
 
 
-def _peak_stability(corpus, p: DesignPoint, float_powers=None) -> tuple[bool, float]:
+def _float_peaks(s: SignalBuffer, p: DesignPoint) -> tuple[np.ndarray, np.ndarray]:
+    """s's float-mode power at p and its top_peak_bins table, sorted along each row."""
+    pf = _power(s, p.pipeline_config(mode="float"))
+    return pf, np.sort(top_peak_bins(pf), axis=1)
+
+
+def _peak_stability(corpus, p: DesignPoint, float_peaks=None) -> tuple[bool, float]:
     """Peak-set stability and worst peak-magnitude error, fixed vs float.
 
     Frames whose peak sets differ clear sets_match and add no error.
-    float_powers, if given, holds each signal's float-mode power at p.
+    float_peaks, if given, holds each signal's _float_peaks at p.
     """
-    if float_powers is None:
-        float_powers = (_power(s, p.pipeline_config(mode="float")) for s in corpus)
+    if float_peaks is None:
+        float_peaks = (_float_peaks(s, p) for s in corpus)
     sets_match = True
     worst = 0.0
-    for s, pf in zip(corpus, float_powers):
+    for s, (pf, ref) in zip(corpus, float_peaks):
         px = _power(s, p.pipeline_config(mode="fixed"))
-        ref = top_peak_bins(pf)
-        same = (np.sort(ref, axis=1) == np.sort(top_peak_bins(px), axis=1)).all(axis=1)
+        same = (ref == np.sort(top_peak_bins(px), axis=1)).all(axis=1)
         sets_match = sets_match and bool(same.all())
         rows, cols = np.nonzero(same[:, None] & (ref >= 0))
         bins = ref[rows, cols]
@@ -305,12 +310,11 @@ def select_bandwidth(corpus, retention_min: float = THRESHOLDS["retention_min"])
 
 def _decide_bitwidth(corpus, p: DesignPoint, err_max: float = THRESHOLDS["err_max"]):
     # float mode reads bit_width only through csd2 window taps, so under any
-    # other window one float power per signal serves every candidate width
-    float_powers = None if p.window_policy == "csd2" else [
-        _power(s, p.pipeline_config(mode="float")) for s in corpus]
+    # other window one float power and peak table per signal serve every width
+    float_peaks = None if p.window_policy == "csd2" else [_float_peaks(s, p) for s in corpus]
 
     def judge(b):
-        ok_sets, worst = _peak_stability(corpus, replace(p, bit_width=b), float_powers)
+        ok_sets, worst = _peak_stability(corpus, replace(p, bit_width=b), float_peaks)
         return ({"peak_sets_match": ok_sets, "worst_peak_error": worst},
                 ok_sets and worst <= err_max)
 

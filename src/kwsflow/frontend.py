@@ -241,20 +241,20 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
 def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Slice into full frames at the configured hop and apply the window.
 
-    Returns (n_frames, N).  Float mode multiplies by the effective
-    coefficients; fixed mode applies the bank of per-tap shift-add networks
-    to all frames at once (exact taps fall back to a quantized multiply).
+    Returns (n_frames, N), the transpose of C-ordered (N, n_frames) words, the FFT's plane layout.
+    Float mode multiplies by the effective coefficients; fixed mode applies the bank of per-tap
+    shift-add networks (exact taps: a quantized multiply) to all frames at once, then saturates.
     """
     n = cfg.fft_size
     if len(samples) < n:
         raise SignalTooShort(f"need at least {n} samples, got {len(samples)}")
-    frames = np.lib.stride_tricks.sliding_window_view(samples, n)[::cfg.frame_hop]
+    frames = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(samples, n)[::cfg.frame_hop].T)
     taps = _plan(cfg).taps
     if cfg.mode == "float":
-        return frames * taps
+        return (frames * taps).T
     if cfg.window_policy == "exact":
-        return mul_raw_array(frames, taps, cfg.sample_format)
-    return shift_add_raw_array(frames, taps, cfg.sample_format)
+        return mul_raw_array(frames, taps, cfg.sample_format).T
+    return shift_add_raw_array(frames, taps, cfg.sample_format).T
 
 
 def _half(v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -289,8 +289,14 @@ def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray]:
-    """Radix-2^2 DIF over (frames, N), level by level: on int32 words in fmt, bit-accurately, or on
-    float64 words with fmt None.
+    """_fft_levels over (frames, N) re and im, as (frames, N) views, widened to int64 in fmt."""
+    out = _fft_levels(re.T, im.T, fmt)
+    return tuple((out if fmt is None else out.astype(np.int64)).transpose(0, 2, 1))
+
+
+def _fft_levels(re: np.ndarray, im, fmt: QFormat | None) -> np.ndarray:
+    """Radix-2^2 DIF over (N, frames) re and im (im may be a scalar), level by level, into (2, N, frames)
+    planes in natural bin order: on int32 words in fmt, bit-accurately, or on float64 words with fmt None.
 
     A size-m level holds re and im as the two planes of one (2, blocks, m,
     frames) array, so each step runs over whole rows of frames.  Stage 1 writes
@@ -309,12 +315,12 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
     pair |w| <= 2^f + 1 (a trivial one, (+-2^f, 0), is exact), so by
     Cauchy-Schwarz each part of v w is at most |v| |w| < 1.52e9 < 2^31, and its
     rounding stays within 2^f.  A butterfly sum is at most 2 (raw_max + 1),
-    covering the unsaturated -j bypass word.  The result widens to int64.
+    covering the unsaturated -j bypass word.
     """
     fixed = fmt is not None
-    n_frames, n = re.shape
+    n, n_frames = re.shape
     x = np.empty((2, 1, n, n_frames), np.int32 if fixed else np.float64)
-    x[0, 0], x[1, 0] = re.T, im.T
+    x[0, 0], x[1, 0] = re, im
     t, m = np.empty_like(x), n
     while m >= 4:
         q, blocks = m // 4, n // m
@@ -350,7 +356,7 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
             if fixed:
                 # every twiddle takes the rounded multiply with its ROM word; a trivial one (1, -j) is then an
                 # exact rotation and, bypassing the multiplier in the hardware, is not saturated
-                p = rshift_round_even_array(u, fmt.frac_bits)
+                p = rshift_round_even_array(u, fmt.frac_bits, out=p)
                 saturate_array(p, fmt, out=u)
                 np.copyto(u, p, where=trivial)
         x, m = out.reshape(2, 4 * blocks, q, n_frames), q
@@ -361,8 +367,7 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
         if fixed:
             saturate_array(_half(y, x.reshape(y.shape)), fmt, out=y)
         x = y
-    out = x.reshape(2, n, n_frames)
-    return tuple((out.astype(np.int64) if fixed else out).transpose(0, 2, 1))
+    return x.reshape(2, n, n_frames)
 
 
 def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +538,7 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    taps: np.ndarray  # window: float values, quantized exact taps or (N, depth, 2) planes
+    taps: np.ndarray  # window: float values or quantized exact taps (N, 1), or (N, 1, depth, 2) planes
     filterbank: MelFilterbank
     dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or (n_mel, n_mfcc, 1, depth, 2) CSD planes
 
@@ -549,10 +554,10 @@ def _plan(cfg: PipelineConfig) -> _Plan:
     spec = window_coefficients(cfg.fft_size, cfg.window_policy, cfg.bit_width)
     k, n = np.ogrid[: cfg.n_mfcc, : cfg.n_mel]
     dct = np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_mel))
-    taps = spec.values
+    taps = spec.values[:, np.newaxis]  # indexed (n, 1): broadcast against (n, frames) samples
     if cfg.mode == "fixed":
         taps = (quantize_array(taps, cfg.sample_format) if cfg.window_policy == "exact"
-                else shift_add_planes(spec.approxs))
+                else shift_add_planes([[a] for a in spec.approxs]))
         # indexed (n, k, 1): dct_ii broadcasts them against (n, 1, frames) log values
         dct = shift_add_planes([[[approx_csd(c, 2, cfg.bit_width - 1)] for c in col]
                                 for col in dct.T])
@@ -562,9 +567,10 @@ def _plan(cfg: PipelineConfig) -> _Plan:
     return _Plan(taps, fb, dct)
 
 
-def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
-    """mfcc_pipeline's stages up to the power spectrum, raw energy words in fixed mode, in frame
-    blocks written into one C-ordered matrix, since the float mel matmul's bits depend on its layout."""
+def _power_stage(s: SignalBuffer, cfg: PipelineConfig, tail: bool = False):
+    """mfcc_pipeline's stages up to the power spectrum (raw energy words in fixed mode), per frame block in the
+    FFT's plane layout from the window to the power, written into one C-ordered matrix, since the float mel
+    matmul's bits depend on its layout.  With tail (fixed mode), each block also fills raw log_mel and mfcc."""
     if s.sample_rate != cfg.sample_rate:
         raise DimensionMismatch(
             f"signal rate {s.sample_rate} != config rate {cfg.sample_rate}; decimate first"
@@ -577,19 +583,21 @@ def _power_stage(s: SignalBuffer, cfg: PipelineConfig) -> np.ndarray:
     n_frames = max(0, len(s.samples) - n) // hop + 1
     step = max(1, BLOCK_WORDS // n)
     power = np.empty((n_frames, n // 2 + 1), np.int64 if fixed else np.float64)
+    if tail:
+        log_mel, mfcc = (np.empty((n_frames, k), np.int64) for k in (cfg.n_mel, cfg.n_mfcc))
     for f0 in range(0, n_frames, step):
         lo = max(0, f0 * hop - 1)  # pre-emphasis reads the sample before the block, then drops it
         x = s.samples[lo : (min(f0 + step, n_frames) - 1) * hop + n]
         x = preemphasis(quantize_array(x, fmt) if fixed else x, pre, fmt)[f0 * hop - lo :]
-        frames = frame_and_window(x, cfg)
-        sre, sim = fft_r22sdf(frames, np.zeros_like(frames), cfg)
-        if not fixed:
-            # normalize by 1/N so both modes share one spectral scale (the
-            # fixed datapath's per-stage halving has the same total gain)
-            sre /= n
-            sim /= n
-        power[f0 : f0 + step] = power_spectrum(sre, sim, cfg)
-    return power
+        spec = _fft_levels(frame_and_window(x, cfg).T, 0, fmt)  # saturated, so fixed words are in fmt
+        if not fixed:  # 1/N on the kept bins: the fixed datapath's per-stage halving has the same gain
+            spec[:, : n // 2 + 1] /= n
+        rows = slice(f0, f0 + step)
+        power[rows] = power_spectrum(spec[0].T, spec[1].T, cfg)
+        if tail:
+            log_mel[rows] = _log_mel(power[rows], cfg)
+            mfcc[rows] = dct_ii(log_mel[rows], cfg)
+    return (power, log_mel, mfcc) if tail else power
 
 
 def _log_mel(power: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -599,13 +607,13 @@ def _log_mel(power: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
 
 def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
     """Run the full front end on one buffer; deterministic per config."""
-    power = _power_stage(s, cfg)
-    log_mel = _log_mel(power, cfg)
-    mfcc = dct_ii(log_mel, cfg)
-    if cfg.mode == "fixed":
-        power = to_real_array(power, cfg.energy_format)
-        log_mel = to_real_array(log_mel, LOG_FORMAT)
-        mfcc = to_real_array(mfcc, LOG_FORMAT)
+    if cfg.mode == "float":  # whole matrices: the float mel and DCT matmuls' bits depend on the row count
+        power = _power_stage(s, cfg)
+        log_mel = _log_mel(power, cfg)
+        mfcc = dct_ii(log_mel, cfg)
+    else:
+        formats = (cfg.energy_format, LOG_FORMAT, LOG_FORMAT)
+        power, log_mel, mfcc = map(to_real_array, _power_stage(s, cfg, tail=True), formats)
     return PipelineResult(_Frames(mfcc.copy()), mfcc, log_mel, power, cfg)
 
 

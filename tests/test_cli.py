@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 from kwsflow.cli import EXIT_BAD_INPUT, EXIT_OK, EXIT_UNMET, dispatch
+from kwsflow.corpus import corpus_signals
+from kwsflow.dse import THRESHOLDS
+from kwsflow.flow import run_flow
 from kwsflow.frontend import PipelineConfig
+from kwsflow.signal import SignalBuffer, write_wav
 
 
 def _gen(tmp_path, name="tone.wav", kind="sine", extra=()):
@@ -341,12 +345,12 @@ def _mutate(good: bytes, mutation) -> bytes:
     return bytes(out)
 
 
-def _exit_code(argv: list[str]) -> int:
-    """dispatch(argv), which must exit 0 or 2 with no traceback on stderr."""
+def _exit_code(argv: list[str], codes=(EXIT_OK, EXIT_BAD_INPUT)) -> int:
+    """dispatch(argv), which must exit with one of codes, by default 0 or 2, and no traceback on stderr."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = dispatch(argv)
-    assert code in (EXIT_OK, EXIT_BAD_INPUT) and "Traceback" not in err.getvalue(), (code, err.getvalue())
+    assert code in codes and "Traceback" not in err.getvalue(), (code, err.getvalue())
     return code
 
 
@@ -396,3 +400,62 @@ def test_mutated_pipeline_and_flow_json_exit_zero_or_two(tmp_path, monkeypatch):
             assert sorted(os.listdir(case)) == ["config.json", *sorted(FLOW_INPUTS)]  # no workdir
 
     exits_zero_or_two()
+
+
+# a two-iteration flow, which a checkpoint stops after its first record, and
+# thresholds whose err_max of 0.1 becomes 0.0, which no bit width meets, when
+# one byte is overwritten
+FLOW2 = {"workdir": "w", "stages": {"rtl": {"adapter": "mock", "scenario": "s.json", "budget": 2}},
+         "reasoner": {"kind": "scripted", "script": "p.json"}}
+FLOW2_INPUTS = {"s.json": [{"status": "fail", "failures": ["x"]}, {"status": "pass"}],
+                "p.json": {"rtl": [{"writes": {"top.v": "x"}}, {"writes": {"top.v": "y"}}]}}
+GOOD_THRESHOLDS = json.dumps(THRESHOLDS).encode()
+ERR_MAX_DIGIT = GOOD_THRESHOLDS.index(b'"err_max": 0.1') + len(b'"err_max": 0.')
+PASS_AT = json.dumps(FLOW2_INPUTS["s.json"]).encode().index(b"pass")
+
+
+def test_mutated_dse_script_scenario_and_checkpoint_json_exit_zero_one_or_two(tmp_path, monkeypatch):
+    # a mutation can also leave a well-formed input whose criterion is unmet or
+    # whose stage fails, which exits 1, as the two examples below do
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    corpus = tmp_path / "corpus"  # the bundled signals cut to 1,000 samples: dse takes ms
+    corpus.mkdir()
+    for i, s in enumerate(corpus_signals(8000)):
+        write_wav(corpus / f"s{i}.wav", SignalBuffer(s.samples[:1000], 8000))
+    seed = tmp_path / "seed"
+    seed.mkdir()
+    monkeypatch.chdir(seed)
+    for name, doc in FLOW2_INPUTS.items():
+        Path(name).write_text(json.dumps(doc))
+    run_flow(FLOW2, "ck.json", stop_after=1)
+    good = {"dse": GOOD_THRESHOLDS, "checkpoint": Path("ck.json").read_bytes(),
+            **{name: json.dumps(doc).encode() for name, doc in FLOW2_INPUTS.items()}}
+    byte = st.integers(0, 255).filter(lambda b: b not in b"./\\")  # every path stays a name, as above
+    codes = (EXIT_OK, EXIT_UNMET, EXIT_BAD_INPUT)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(sorted(good)), _mutations(st, 1 << 16, byte))
+    @hypothesis.example("dse", ("overwrite", [(ERR_MAX_DIGIT, ord("0"))]))
+    @hypothesis.example("s.json", ("overwrite", [(PASS_AT + i, b) for i, b in enumerate(b"fail")]))
+    def exits_zero_one_or_two(surface, mutation):
+        case = Path(tempfile.mkdtemp(dir=tmp_path))
+        monkeypatch.chdir(case)
+        if surface == "dse":
+            Path("t.json").write_bytes(_mutate(good[surface], mutation))
+            _exit_code(["dse", "--corpus", str(corpus), "--config", "t.json", "--out", "o.json"], codes)
+            return
+        Path("config.json").write_text(json.dumps(FLOW2))
+        for name, doc in FLOW2_INPUTS.items():
+            Path(name).write_text(json.dumps(doc))
+        argv = ["flow", "run", "--config", "config.json"]
+        if surface == "checkpoint":
+            Path("ck.json").write_bytes(_mutate(good[surface], mutation))
+            argv = ["flow", "resume", "--config", "config.json", "--checkpoint", "ck.json"]
+        else:
+            Path(surface).write_bytes(_mutate(good[surface], mutation))
+        inputs = sorted(os.listdir(case))
+        if _exit_code(argv, codes) == EXIT_BAD_INPUT:
+            assert sorted(os.listdir(case)) == inputs  # no workdir
+
+    exits_zero_one_or_two()

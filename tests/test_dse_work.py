@@ -148,8 +148,9 @@ def test_bitwidth_walk_equals_per_width_oracle(policy):
 def test_bundled_run_dse_transform_counts(monkeypatch):
     # 3 periodograms and 8 leakage transforms; 12 full front-end runs and 27
     # power-only ones: the bit-width walk's 12 fixed and 3 float, alpha's 9,
-    # and the mel-shape delta's 3, which both shapes read
-    counts = {"fft": 0, "fft_r22sdf": 0}
+    # and the mel-shape delta's 3, which both shapes read.  The front end's
+    # runs are counted at the level loop, which every one of them calls
+    counts = {"fft": 0, "_fft_levels": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -158,6 +159,6 @@ def test_bundled_run_dse_transform_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.fft, "fft", counting("fft", np.fft.fft))
-    monkeypatch.setattr(fe, "fft_r22sdf", counting("fft_r22sdf", fe.fft_r22sdf))
+    monkeypatch.setattr(fe, "_fft_levels", counting("_fft_levels", fe._fft_levels))
     run_dse()
-    assert counts == {"fft": 11, "fft_r22sdf": 39}
+    assert counts == {"fft": 11, "_fft_levels": 39}

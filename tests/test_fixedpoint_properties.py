@@ -145,6 +145,23 @@ def test_rshift_round_even_array_matches_scalar(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_rshift_round_even_array_writes_into_out(data):
+    # the FFT rounds its twiddle products into a strided view of a level's dead
+    # words: the result lands there, in v's dtype, and v keeps its words
+    dtype = data.draw(st.sampled_from((np.int32, np.int64)))
+    info = np.iinfo(dtype)
+    s = data.draw(st.one_of(st.just(0), st.integers(1, info.bits - 2)))  # below bits - 1 the sum fits
+    vs = data.draw(st.lists(st.one_of(st.integers(info.min, info.max),
+                                      st.sampled_from((info.min, info.max, -1, 0, 1))), min_size=1, max_size=24))
+    v = np.array(vs, dtype=dtype)
+    out = np.full(2 * len(vs), 7, dtype=dtype)[::2]
+    assert rshift_round_even_array(v, s, out=out) is out
+    assert v.tolist() == vs
+    assert out.dtype == dtype and out.tolist() == [_rshift_round_even(x, s) for x in vs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_mul_raw_array_matches_fx_arith(data):
     fmt = data.draw(formats(max_bits=31))
     a = data.draw(raws(fmt, fmt.raw_min, fmt.raw_max))

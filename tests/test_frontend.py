@@ -618,6 +618,24 @@ def test_working_set_does_not_grow_with_the_buffer():
     assert net_peak(60) <= net_peak(10) + 16e6
 
 
+def test_fixed_peak_sits_within_two_buffers_of_float_on_60_s():
+    # fixed mel, log and DCT run per block into preallocated raw outputs; on
+    # whole matrices, log_compress's temporaries put the fixed call at 40.1 MB
+    # against 12.4 MB in float mode (the 60 s buffer is 7.7 MB)
+    def peak(mode):
+        cfg = PipelineConfig(mode=mode, **PLAN_POINTS["wide"])
+        mfcc_pipeline(_clip(cfg), cfg)  # build the plan and twiddles outside the trace
+        tracemalloc.start()
+        try:
+            mfcc_pipeline(s, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    s = gen_signal("speechlike", seed=1, n=60 * 16000, sample_rate=16000)
+    assert peak("fixed") <= peak("float") + 2 * s.samples.nbytes
+
+
 @pytest.mark.parametrize("mode, whole_buffer_arrays", [("float", 3), ("fixed", 4)])
 def test_power_stage_peak_sits_a_buffer_below_whole_buffer_pre_emphasis(mode, whole_buffer_arrays):
     # quantize and pre-emphasis over a whole 60 s, 16 kHz buffer (7.7 MB)
