@@ -104,9 +104,9 @@ def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64
-# arrays or the FFT's int32 words.  Same semantics as the scalar oracles in
-# tests/oracles.py, which the property tests compare them against.
+# Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64 arrays or the narrowest
+# word each stage's bound allows: int16 FFT words up to 8 bits (else int32), int32 window and DCT words.
+# Same semantics as the scalar oracles in tests/oracles.py, which the property tests compare them against.
 
 
 def quantize_array(x: np.ndarray, fmt: QFormat) -> np.ndarray:
@@ -158,8 +158,8 @@ def shift_add_planes(a: ShiftAddApprox | Sequence | np.ndarray) -> np.ndarray:
 
 
 def shift_add_raw_array(raw: np.ndarray, planes: np.ndarray, fmt: QFormat) -> np.ndarray:
-    """Vectorized apply_shift_add on raw int64 arrays: planes (shift_add_planes)
-    broadcast against raw without their last two axes; a (0, 0) term adds 0."""
+    """Vectorized apply_shift_add on raw integer arrays, in the wider word of raw and planes (shift_add_planes),
+    which broadcast against raw without their last two axes; a (0, 0) term adds 0."""
     acc = raw >> planes[..., 0, 1]
     acc *= planes[..., 0, 0]
     for t in range(1, planes.shape[-2]):

@@ -47,7 +47,6 @@ from .fixedpoint import (
     saturate_array,
     shift_add_planes,
     shift_add_raw_array,
-    to_real_array,
 )
 from .signal import SignalBuffer
 
@@ -238,17 +237,34 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
     return WindowSpec(np.array([a.value for a in approxs], dtype=float), tuple(approxs))
 
 
+def _check_raw(words: np.ndarray, fmt: QFormat) -> None:
+    """UnsupportedFormat unless words are raw integers in fmt, the range each fixed stage sizes its words to."""
+    if not np.issubdtype(words.dtype, np.integer):
+        raise UnsupportedFormat(f"fixed mode takes raw integer words, got {words.dtype}")
+    if words.size and (words.min() < fmt.raw_min or words.max() > fmt.raw_max):
+        raise UnsupportedFormat(f"fixed mode takes raw words in [{fmt.raw_min}, {fmt.raw_max}], got {words.min()}..{words.max()}")
+
+
 def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Slice into full frames at the configured hop and apply the window.
 
     Returns (n_frames, N), the transpose of C-ordered (N, n_frames) words, the FFT's plane layout.
-    Float mode multiplies by the effective coefficients; fixed mode applies the bank of per-tap
-    shift-add networks (exact taps: a quantized multiply) to all frames at once, then saturates.
+    Float mode multiplies by the effective coefficients; fixed mode takes raw integer samples in the sample
+    format (else UnsupportedFormat) and applies the bank of per-tap shift-add networks (exact taps: a quantized
+    int64 multiply) to all frames at once on int32 words, then saturates: a sum is within 2 x 2^15 = 2^16.
     """
+    if cfg.mode == "fixed":
+        _check_raw(np.asarray(samples), cfg.sample_format)
+    return _window(samples, cfg)
+
+
+def _window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """frame_and_window without its input check, for the block loop's own saturated words."""
     n = cfg.fft_size
     if len(samples) < n:
         raise SignalTooShort(f"need at least {n} samples, got {len(samples)}")
-    frames = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(samples, n)[::cfg.frame_hop].T)
+    frames = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(samples, n)[::cfg.frame_hop].T,
+                                  np.int32 if cfg.mode == "fixed" else None)
     taps = _plan(cfg).taps
     if cfg.mode == "float":
         return (frames * taps).T
@@ -273,15 +289,17 @@ def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray, n
     Read-only (w, jw, trivial): the words w and jw = j w = (-w_im, w_re) as
     (2, 3, 1, m/4, 1) re and im planes, whose row k - 1 holds W_m^(k i) =
     exp(-2 pi j k i / m) for output k of each block, and the (3, 1, m/4, 1)
-    trivial mask (1 and -j).  Words are float64 parts of W with fmt None, and
-    int32 in fmt, where a trivial word is exact, +-2^frac_bits or 0 (+1 is one
-    past raw_max), so its rounded multiply is an exact rotation.
+    trivial mask (1 and -j).  Words are float64 parts of W with fmt None; in fmt they are
+    int16 while _fft_levels' bound sqrt(2) (raw_max + 1) (2^f + 1) < 2^15 (up to 8 bits:
+    23,351; 93,047 at 9), else int32, and a trivial word is exact, +-2^frac_bits or 0
+    (+1 is one past raw_max), so its rounded multiply is an exact rotation.
     """
     w = np.exp(-2j * np.pi * (np.arange(1, 4).reshape(3, 1, 1, 1) * np.arange(m // 4)[:, np.newaxis]) / m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
     rom = np.array([w.real, w.imag])
     if fmt is not None:
-        rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt)).astype(np.int32)
+        word = np.int16 if math.sqrt(2) * (fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1) < 1 << 15 else np.int32
+        rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt)).astype(word)
     rom = np.array([rom, [-rom[1], rom[0]]])
     for a in (rom, trivial):
         a.setflags(write=False)
@@ -296,7 +314,7 @@ def _fft_r22(re: np.ndarray, im: np.ndarray, fmt: QFormat | None) -> tuple[np.nd
 
 def _fft_levels(re: np.ndarray, im, fmt: QFormat | None) -> np.ndarray:
     """Radix-2^2 DIF over (N, frames) re and im (im may be a scalar), level by level, into (2, N, frames)
-    planes in natural bin order: on int32 words in fmt, bit-accurately, or on float64 words with fmt None.
+    planes in natural bin order: on the twiddle ROM's words, bit-accurately in fmt or float64 with fmt None.
 
     A size-m level holds re and im as the two planes of one (2, blocks, m,
     frames) array, so each step runs over whole rows of frames.  Stage 1 writes
@@ -313,13 +331,14 @@ def _fft_levels(re: np.ndarray, im, fmt: QFormat | None) -> np.ndarray:
     rounded twiddle products.  With raw inputs in fmt (b <= 16 bits, f fraction
     bits), a multiply's saturated inputs have |v| <= sqrt(2) 2^(b-1) and a ROM
     pair |w| <= 2^f + 1 (a trivial one, (+-2^f, 0), is exact), so by
-    Cauchy-Schwarz each part of v w is at most |v| |w| < 1.52e9 < 2^31, and its
-    rounding stays within 2^f.  A butterfly sum is at most 2 (raw_max + 1),
-    covering the unsaturated -j bypass word.
+    Cauchy-Schwarz each part of v w is at most |v| |w| <= sqrt(2) (raw_max + 1)
+    (2^f + 1): < 2^15 in the int16 words up to 8 bits, < 1.52e9 < 2^31 in int32
+    at 16.  Its rounding stays within 2^f.  A butterfly sum is at most
+    2 (raw_max + 1), covering the unsaturated -j bypass word.
     """
     fixed = fmt is not None
     n, n_frames = re.shape
-    x = np.empty((2, 1, n, n_frames), np.int32 if fixed else np.float64)
+    x = np.empty((2, 1, n, n_frames), _twiddle_rom(n, fmt)[0].dtype)
     x[0, 0], x[1, 0] = re, im
     t, m = np.empty_like(x), n
     while m >= 4:
@@ -379,7 +398,7 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     mode on float64 words with a gain of 1 and bits that do not depend on
     numpy's SIMD dispatch.  Outputs are F-ordered views in natural bin order.
     Fixed mode has a total gain of 1/N from the per-stage halving, runs on
-    int32 words and returns int64.
+    int16 words up to 8 bits, int32 above (_twiddle_rom), and returns int64.
     """
     if frames_re.ndim != 2 or frames_re.shape != frames_im.shape:
         raise DimensionMismatch(f"need two (n_frames, N) arrays of one shape, got {frames_re.shape}, {frames_im.shape}")
@@ -390,13 +409,9 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
         if not (np.isrealobj(frames_re) and np.isrealobj(frames_im)):
             raise UnsupportedFormat(f"float mode takes real frames, got {frames_re.dtype} and {frames_im.dtype}")
         return _fft_r22(frames_re, frames_im, None)
-    fmt = cfg.sample_format
-    for f in (frames_re, frames_im):  # the int32 proof of _fft_r22 assumes raw words in fmt
-        if not np.issubdtype(f.dtype, np.integer):
-            raise UnsupportedFormat(f"fixed mode takes raw integer frames, got {f.dtype}")
-        if f.size and (f.min() < fmt.raw_min or f.max() > fmt.raw_max):
-            raise UnsupportedFormat(f"fixed mode takes raw words in [{fmt.raw_min}, {fmt.raw_max}], got {f.min()}..{f.max()}")
-    return _fft_r22(frames_re, frames_im, fmt)
+    for f in (frames_re, frames_im):  # _fft_levels' word bound assumes raw words in the sample format
+        _check_raw(f, cfg.sample_format)
+    return _fft_r22(frames_re, frames_im, cfg.sample_format)
 
 
 def power_spectrum(spec_re: np.ndarray, spec_im: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -517,39 +532,44 @@ def dct_ii(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     sums the products in order n = 0 .. n_mel - 1, saturating the running
     sum after each term as a serial DCT_ACC_FORMAT accumulator does.
     mfcc_pipeline's log values (-192..112 raw) never saturate it; it is
-    kept so any 12-bit LOG_FORMAT input gets the datapath's bits.
+    kept so any LOG_FORMAT input (else UnsupportedFormat) gets the datapath's
+    bits.  It runs on int32 words and returns int64: |x| <= 2^11, so a sum
+    plus a product stays within 2^15 + 2^12.
     """
     if log_energies.shape[1] != cfg.n_mel:
-        raise DimensionMismatch(
-            f"expected {cfg.n_mel} log energies, got {log_energies.shape[1]}"
-        )
-    bank = _plan(cfg).dct
+        raise DimensionMismatch(f"expected {cfg.n_mel} log energies, got {log_energies.shape[1]}")
     if cfg.mode == "float":
-        return log_energies @ bank.T
+        return log_energies @ _plan(cfg).dct.T
+    _check_raw(log_energies, LOG_FORMAT)
+    return _dct_fixed(log_energies, cfg)
+
+
+def _dct_fixed(log_energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Fixed dct_ii without its input checks, for the block loop's own LOG_FORMAT words."""
     # (n_mel, n_mfcc, frames); each two-term product of a 12-bit log value fits
     # DCT_ACC_FORMAT, so saturating it, and summing from the first, keeps the bits
-    prods = shift_add_raw_array(log_energies.T[:, np.newaxis, :], bank, DCT_ACC_FORMAT)
+    prods = shift_add_raw_array(log_energies.T.astype(np.int32)[:, np.newaxis], _plan(cfg).dct, DCT_ACC_FORMAT)
     acc = prods[0]
     for prod in prods[1:]:
         acc += prod
         saturate_array(acc, DCT_ACC_FORMAT, out=acc)
-    return np.ascontiguousarray(acc.T)
+    return np.ascontiguousarray(acc.T, np.int64)
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    taps: np.ndarray  # window: float values or quantized exact taps (N, 1), or (N, 1, depth, 2) planes
+    taps: np.ndarray  # window: float values or int32 exact taps (N, 1), or int32 (N, 1, depth, 2) planes
     filterbank: MelFilterbank
-    dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or (n_mel, n_mfcc, 1, depth, 2) CSD planes
+    dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or int32 (n_mel, n_mfcc, 1, depth, 2) CSD planes
 
 
 @lru_cache(maxsize=None)
 def _plan(cfg: PipelineConfig) -> _Plan:
     """The constants cfg fixes, as the hardware fixes its ROM words and shift-add networks.
 
-    Holds the window taps and DCT bank in the mode's form and the mel filterbank.
-    cfg is frozen and checked when built, so equal configs share one plan; its
-    arrays are read-only so no caller can change a later call's bits.
+    Holds the window taps and DCT bank in the mode's form, int32 in fixed mode like the sums they
+    meet (frame_and_window, dct_ii), and the mel filterbank.  cfg is frozen and checked when built, so
+    equal configs share one plan; its arrays are read-only so no caller can change a later call's bits.
     """
     spec = window_coefficients(cfg.fft_size, cfg.window_policy, cfg.bit_width)
     k, n = np.ogrid[: cfg.n_mfcc, : cfg.n_mel]
@@ -557,10 +577,10 @@ def _plan(cfg: PipelineConfig) -> _Plan:
     taps = spec.values[:, np.newaxis]  # indexed (n, 1): broadcast against (n, frames) samples
     if cfg.mode == "fixed":
         taps = (quantize_array(taps, cfg.sample_format) if cfg.window_policy == "exact"
-                else shift_add_planes([[a] for a in spec.approxs]))
+                else shift_add_planes([[a] for a in spec.approxs])).astype(np.int32)
         # indexed (n, k, 1): dct_ii broadcasts them against (n, 1, frames) log values
         dct = shift_add_planes([[[approx_csd(c, 2, cfg.bit_width - 1)] for c in col]
-                                for col in dct.T])
+                                for col in dct.T]).astype(np.int32)
     fb = build_mel_filterbank(cfg)
     for a in (taps, dct, fb.weights, fb.edges_hz):
         a.setflags(write=False)
@@ -589,14 +609,14 @@ def _power_stage(s: SignalBuffer, cfg: PipelineConfig, tail: bool = False):
         lo = max(0, f0 * hop - 1)  # pre-emphasis reads the sample before the block, then drops it
         x = s.samples[lo : (min(f0 + step, n_frames) - 1) * hop + n]
         x = preemphasis(quantize_array(x, fmt) if fixed else x, pre, fmt)[f0 * hop - lo :]
-        spec = _fft_levels(frame_and_window(x, cfg).T, 0, fmt)  # saturated, so fixed words are in fmt
+        spec = _fft_levels(_window(x, cfg).T, 0, fmt)  # saturated, so fixed words are in fmt
         if not fixed:  # 1/N on the kept bins: the fixed datapath's per-stage halving has the same gain
             spec[:, : n // 2 + 1] /= n
         rows = slice(f0, f0 + step)
         power[rows] = power_spectrum(spec[0].T, spec[1].T, cfg)
         if tail:
             log_mel[rows] = _log_mel(power[rows], cfg)
-            mfcc[rows] = dct_ii(log_mel[rows], cfg)
+            mfcc[rows] = _dct_fixed(log_mel[rows], cfg)
     return (power, log_mel, mfcc) if tail else power
 
 
@@ -611,9 +631,9 @@ def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:
         power = _power_stage(s, cfg)
         log_mel = _log_mel(power, cfg)
         mfcc = dct_ii(log_mel, cfg)
-    else:
-        formats = (cfg.energy_format, LOG_FORMAT, LOG_FORMAT)
-        power, log_mel, mfcc = map(to_real_array, _power_stage(s, cfg, tail=True), formats)
+    else:  # each raw matrix turns real in place, through a float64 view of its words, so no copy sits beside it
+        raws = zip(_power_stage(s, cfg, tail=True), (cfg.energy_format, LOG_FORMAT, LOG_FORMAT))
+        power, log_mel, mfcc = (np.multiply(r, f.lsb, out=r.view(np.float64)) for r, f in raws)
     return PipelineResult(_Frames(mfcc.copy()), mfcc, log_mel, power, cfg)
 
 

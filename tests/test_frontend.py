@@ -146,6 +146,28 @@ def test_framing_applies_window_to_ones():
         assert np.allclose(row, w, atol=1e-12)
 
 
+@pytest.mark.parametrize("policy", ["exact", "csd2", "single_shift", "rectangular"])
+def test_fixed_framing_rejects_real_valued_samples(policy):
+    # unchecked, the shift-add policies raised numpy's TypeError and exact
+    # silently truncated them into all-zero frames
+    cfg = PipelineConfig(mode="fixed", window_policy=policy)
+    with pytest.raises(UnsupportedFormat, match="float64"):
+        frame_and_window(np.linspace(-0.5, 0.5, 64), cfg)
+
+
+@pytest.mark.parametrize("value", [64, 100, 2**31, -65])
+def test_fixed_framing_rejects_samples_outside_the_sample_format(value):
+    # unchecked, the int32 frames wrapped 2^31 to -64 where int64 ones saturated it to 63
+    cfg = PipelineConfig(mode="fixed", window_policy="rectangular")
+    assert (cfg.sample_format.raw_min, cfg.sample_format.raw_max) == (-64, 63)
+    samples = np.zeros(64, dtype=np.int64)
+    samples[40] = value
+    with pytest.raises(UnsupportedFormat, match=r"\[-64, 63\]"):
+        frame_and_window(samples, cfg)
+    samples[40] = 63 if value > 0 else -64  # the format's edges are taken
+    assert frame_and_window(samples, cfg)[2, 8] == samples[40]
+
+
 def test_framing_short_input():
     cfg = PipelineConfig(fft_size=32)
     with pytest.raises(SignalTooShort):
@@ -403,6 +425,23 @@ def test_dct_matches_scipy_and_inverts():
     assert np.max(np.abs(back - x)) < 1e-9
 
 
+def test_fixed_dct_rejects_words_outside_the_log_format():
+    # the int32 products and accumulator assume raw LOG_FORMAT words, |x| <= 2^11
+    from kwsflow.frontend import LOG_FORMAT
+
+    cfg = PipelineConfig(mode="fixed")
+    assert (LOG_FORMAT.raw_min, LOG_FORMAT.raw_max) == (-2048, 2047)
+    for value in (2048, -2049, 2**31):
+        x = np.zeros((2, 8), dtype=np.int64)
+        x[1, 3] = value
+        with pytest.raises(UnsupportedFormat, match=r"\[-2048, 2047\]"):
+            dct_ii(x, cfg)
+    with pytest.raises(UnsupportedFormat, match="float64"):
+        dct_ii(np.full((2, 8), 1.5), cfg)
+    edges = np.array([[-2048, 2047] * 4])
+    assert dct_ii(edges, cfg).dtype == np.int64
+
+
 def test_dct_fixed_coefficient_error_bound():
     from kwsflow.fixedpoint import to_real_array
     from kwsflow.frontend import LOG_FORMAT
@@ -538,8 +577,8 @@ def test_fixed_plan_holds_read_only_integer_arrays(policy):
     for point in PLAN_POINTS.values():
         cfg = PipelineConfig(mode="fixed", **{**point, "window_policy": policy})
         plan = _plan(cfg)
-        for a in (plan.taps, plan.dct):
-            assert a.dtype == np.int64 and not a.flags.writeable
+        for a in (plan.taps, plan.dct):  # int32, the word of the window and DCT sums they meet
+            assert a.dtype == np.int32 and not a.flags.writeable
         assert plan.dct.shape[:3] == (cfg.n_mel, cfg.n_mfcc, 1) and plan.dct.shape[-1] == 2
 
 

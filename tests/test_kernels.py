@@ -32,6 +32,7 @@ from kwsflow.frontend import (  # noqa: E402
     LOG_FORMAT,
     PipelineConfig,
     PreemphasisConfig,
+    _fft_levels,
     _fft_r22,
     _twiddle_rom,
     build_mel_filterbank,
@@ -45,6 +46,8 @@ from kwsflow.frontend import (  # noqa: E402
 from oracles import complex_frames, fft_r22_recursive, twiddles  # noqa: E402
 
 BIT_WIDTHS = (4, 7, 12, 16)
+# the widest int16 and the narrowest int32 FFT word
+WORD_EDGE_BITS = (8, 9)
 LOG_LUT = [math.log2(1 + i / 16) for i in range(17)]
 
 
@@ -272,7 +275,7 @@ def test_fft_levels_match_recursion_on_random_frames(n, bits, data):
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
-@pytest.mark.parametrize("bits", BIT_WIDTHS)
+@pytest.mark.parametrize("bits", BIT_WIDTHS + WORD_EDGE_BITS)
 def test_fft_levels_match_recursion_at_full_scale(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     rng = np.random.default_rng(n * 100 + bits)
@@ -330,7 +333,7 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
     i = np.arange(n // 4)
     rom, jw, trivial_rows = _twiddle_rom(n, fmt)
     assert rom.shape == jw.shape == (2, 3, 1, n // 4, 1) and trivial_rows.shape == (3, 1, n // 4, 1)
-    assert rom.dtype == jw.dtype == np.int32
+    assert rom.dtype == jw.dtype == (np.int16 if bits <= 8 else np.int32)
     assert not any(a.flags.writeable for a in (rom, jw, trivial_rows))
     # jw = j w = (-w_im, w_re)
     assert np.array_equal(jw[0], -rom[1]) and np.array_equal(jw[1], rom[0])
@@ -347,6 +350,19 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
         assert np.array_equal(w_im[rest, 0], quantize_array(w.imag, fmt)[rest])
 
 
+@pytest.mark.parametrize("bits", range(2, 17))
+def test_fft_word_is_int16_up_to_8_bits_and_int32_above(bits):
+    fmt = PipelineConfig(bit_width=bits).sample_format
+    word = np.int16 if bits <= 8 else np.int32
+    # a twiddle product's bound sqrt(2) (raw_max + 1) (2^f + 1) fits the word
+    assert math.sqrt(2) * (fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1) < np.iinfo(word).max
+    for n in ALLOWED_FFT_SIZES:
+        assert _twiddle_rom(n, fmt)[0].dtype == word
+        frames = np.full((n, 3), fmt.raw_min, dtype=np.int64)
+        assert _fft_levels(frames, frames, fmt).dtype == word
+        assert _fft_r22(frames.T, frames.T, fmt)[0].dtype == np.int64
+
+
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
 def test_float_twiddle_rom_holds_the_parts_of_each_twiddle(n):
     rom, jw, trivial = _twiddle_rom(n, None)
@@ -359,7 +375,7 @@ def test_float_twiddle_rom_holds_the_parts_of_each_twiddle(n):
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
-@pytest.mark.parametrize("bits", BIT_WIDTHS)
+@pytest.mark.parametrize("bits", BIT_WIDTHS + WORD_EDGE_BITS)
 def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     i, q = n // 8, n // 4
@@ -468,8 +484,10 @@ def test_framing_of_a_strided_view_matches_stacked_slices(policy, mode):
     samples = quantize_array(x, cfg.sample_format) if mode == "fixed" else x
     view = samples[1::3]  # non-contiguous, 500 samples
     assert not view.flags.c_contiguous
-    got = frame_and_window(view, cfg)
-    assert_same_bits(got, frame_and_window_stacked(view, cfg))
+    got, want = frame_and_window(view, cfg), frame_and_window_stacked(view, cfg)
+    # fixed shift-add taps run on int32 words, exact taps' products on int64
+    word = np.int32 if mode == "fixed" and policy != "exact" else want.dtype
+    assert got.dtype == word and got.shape == want.shape and np.array_equal(got, want)
     assert_same_bits(got, frame_and_window(np.ascontiguousarray(view), cfg))
 
 
