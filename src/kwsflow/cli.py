@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dse import THRESHOLD_RULES, DseStageError, run_dse
-from .errors import KwsflowError, check_fields
+from .errors import InvalidParams, KwsflowError, check_fields
 from .flow import resume_flow, run_flow
 from .frontend import PIPELINE_RULES, PipelineConfig, mfcc_pipeline, spectrogram_distance
 from .signal import gen_signal, read_wav, write_wav
@@ -33,6 +34,8 @@ def _load_pipeline_config(path: str | None, mode: str) -> PipelineConfig:
 
 def _cmd_gen(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not (isinstance(params, dict) and math.isfinite(args.dur) and args.dur > 0):
+        raise InvalidParams(f"need a JSON object --params and a finite --dur > 0, got {args.params}, {args.dur}")
     if args.freq is not None:
         params.setdefault("freq", args.freq)
     if args.amp is not None:

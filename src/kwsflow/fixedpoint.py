@@ -104,8 +104,9 @@ def approx_csd(c: float, max_terms: int, max_shift: int) -> ShiftAddApprox:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64 arrays or the narrowest
-# word each stage's bound allows: int16 FFT words up to 8 bits (else int32), int32 window and DCT words.
+# Vectorized raw-integer helpers used by the bit-accurate pipeline, on int64 arrays or the cheapest word
+# each stage's bound allows: int16 FFT words up to 8 bits, float32 ones holding exact integers at 9-12
+# bits, else int32; int32 window and DCT words; float64 mel products where they stay exact integers.
 # Same semantics as the scalar oracles in tests/oracles.py, which the property tests compare them against.
 
 
@@ -132,7 +133,10 @@ def saturate_array(raw: np.ndarray, fmt: QFormat, out: np.ndarray | None = None)
 def rshift_round_even_array(v: np.ndarray, s: int, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized arithmetic right shift with round-to-nearest-even: q = v >> s
     rounds up when (v mod 2^s) + (q & 1) > 2^(s-1), a sum of at most 2^s.  q is
-    written into out, if given, which must not overlap v; v is left unchanged."""
+    written into out, if given, which must not overlap v; v is left unchanged.  Float
+    words holding integers scale exactly by 2^-s, np.rint rounds half to even, out may be v."""
+    if v.dtype.kind == "f":
+        return np.rint(np.multiply(v, 2.0 ** -s, out=out) if s else v, out=out)
     if s <= 0:
         return np.left_shift(v, -s, out=out)
     q = np.right_shift(v, s, out=out)

@@ -274,7 +274,9 @@ def _window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
 
 
 def _half(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """rshift_round_even_array(v, 1) in place, with scratch q: a tie (odd v) rounds to the even neighbour."""
+    """rshift_round_even_array(v, 1) in place, with scratch q for integer words: a tie (odd v) rounds to even."""
+    if v.dtype.kind == "f":
+        return np.rint(np.multiply(v, 0.5, out=v), out=v)
     np.right_shift(v, 1, out=q)
     v &= q
     v &= 1
@@ -289,17 +291,19 @@ def _twiddle_rom(m: int, fmt: QFormat | None) -> tuple[np.ndarray, np.ndarray, n
     Read-only (w, jw, trivial): the words w and jw = j w = (-w_im, w_re) as
     (2, 3, 1, m/4, 1) re and im planes, whose row k - 1 holds W_m^(k i) =
     exp(-2 pi j k i / m) for output k of each block, and the (3, 1, m/4, 1)
-    trivial mask (1 and -j).  Words are float64 parts of W with fmt None; in fmt they are
-    int16 while _fft_levels' bound sqrt(2) (raw_max + 1) (2^f + 1) < 2^15 (up to 8 bits:
-    23,351; 93,047 at 9), else int32, and a trivial word is exact, +-2^frac_bits or 0
-    (+1 is one past raw_max), so its rounded multiply is an exact rotation.
+    trivial mask (1 and -j).  Words are float64 parts of W with fmt None; in fmt, by _fft_levels' bound
+    B = sqrt(2) (raw_max + 1) (2^f + 1), int16 while B < 2^15 (up to 8 bits: 23,351; 93,047 at 9), float32
+    times 2^-f, exactly, while B < 2^24 (up to 12 bits: 5.93e6; 2.37e7 at 13), else int32.  A trivial word
+    is exact, +-2^frac_bits or 0 (+1 is one past raw_max), so its rounded multiply is an exact rotation.
     """
     w = np.exp(-2j * np.pi * (np.arange(1, 4).reshape(3, 1, 1, 1) * np.arange(m // 4)[:, np.newaxis]) / m)
     trivial = np.abs(w.real * w.imag) < 1e-12  # one part 0, the other +-1
     rom = np.array([w.real, w.imag])
     if fmt is not None:
-        word = np.int16 if math.sqrt(2) * (fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1) < 1 << 15 else np.int32
-        rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt)).astype(word)
+        bound = math.sqrt(2) * (fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1)
+        word = np.int16 if bound < 1 << 15 else np.float32 if bound < 1 << 24 else np.int32
+        rom = np.where(trivial, np.rint(rom * (1 << fmt.frac_bits)), quantize_array(rom, fmt))
+        rom = (rom * (2.0 ** -fmt.frac_bits if word is np.float32 else 1)).astype(word)
     rom = np.array([rom, [-rom[1], rom[0]]])
     for a in (rom, trivial):
         a.setflags(write=False)
@@ -332,8 +336,9 @@ def _fft_levels(re: np.ndarray, im, fmt: QFormat | None) -> np.ndarray:
     bits), a multiply's saturated inputs have |v| <= sqrt(2) 2^(b-1) and a ROM
     pair |w| <= 2^f + 1 (a trivial one, (+-2^f, 0), is exact), so by
     Cauchy-Schwarz each part of v w is at most |v| |w| <= sqrt(2) (raw_max + 1)
-    (2^f + 1): < 2^15 in the int16 words up to 8 bits, < 1.52e9 < 2^31 in int32
-    at 16.  Its rounding stays within 2^f.  A butterfly sum is at most
+    (2^f + 1): < 2^15 in int16 up to 8 bits, < 2^24 in float32 at 12 (an integer
+    times 2^-f, held exactly), < 1.52e9 < 2^31 in int32 at 16.  Its rounding
+    stays within 2^f, one np.rint on float words.  A butterfly sum is at most
     2 (raw_max + 1), covering the unsaturated -j bypass word.
     """
     fixed = fmt is not None
@@ -375,7 +380,7 @@ def _fft_levels(re: np.ndarray, im, fmt: QFormat | None) -> np.ndarray:
             if fixed:
                 # every twiddle takes the rounded multiply with its ROM word; a trivial one (1, -j) is then an
                 # exact rotation and, bypassing the multiplier in the hardware, is not saturated
-                p = rshift_round_even_array(u, fmt.frac_bits, out=p)
+                p = rshift_round_even_array(u, 0 if u.dtype.kind == "f" else fmt.frac_bits, out=p)
                 saturate_array(p, fmt, out=u)
                 np.copyto(u, p, where=trivial)
         x, m = out.reshape(2, 4 * blocks, q, n_frames), q
@@ -398,7 +403,7 @@ def fft_r22sdf(frames_re: np.ndarray, frames_im: np.ndarray, cfg: PipelineConfig
     mode on float64 words with a gain of 1 and bits that do not depend on
     numpy's SIMD dispatch.  Outputs are F-ordered views in natural bin order.
     Fixed mode has a total gain of 1/N from the per-stage halving, runs on
-    int16 words up to 8 bits, int32 above (_twiddle_rom), and returns int64.
+    int16, exact float32 or int32 words by bit width (_twiddle_rom), and returns int64.
     """
     if frames_re.ndim != 2 or frames_re.shape != frames_im.shape:
         raise DimensionMismatch(f"need two (n_frames, N) arrays of one shape, got {frames_re.shape}, {frames_im.shape}")
@@ -490,7 +495,7 @@ def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig)
 
     Fixed mode puts every weight on the 2^-16 grid (a rectangular one is
     exactly 2^16, so its shift is exact), sums the exact products, below
-    2^55 for 129 bins of energy < 2^31, and rounds back by 16 bits.
+    2^55 for 129 bins of energy < 2^31, in _mel_words' word, and rounds back by 16 bits.
     """
     if power_bins.shape[1] != fb.weights.shape[1]:
         raise DimensionMismatch(
@@ -498,8 +503,20 @@ def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig)
         )
     if cfg.mode == "float":
         return power_bins @ fb.weights.T
-    wq = quantize_array(fb.weights, QFormat(18, 16))
-    return saturate_array(rshift_round_even_array(power_bins @ wq.T, 16), cfg.energy_format)
+    return _mel_fixed(power_bins, _mel_words(fb.weights, cfg.energy_format), cfg)
+
+
+def _mel_words(weights: np.ndarray, efmt: QFormat) -> np.ndarray:
+    """Mel weights on the 2^-16 grid as (bins, n_mel) words: float64 while (raw_max + 1) x the largest row sum
+    < 2^53, so a BLAS matmul's products and partial sums are integers it holds exactly in any order; else int64."""
+    wq = quantize_array(weights, QFormat(18, 16)).T
+    return np.ascontiguousarray(wq, np.float64 if (efmt.raw_max + 1) * int(wq.sum(axis=0).max()) < 1 << 53 else None)
+
+
+def _mel_fixed(power_bins: np.ndarray, wq: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    """Fixed mel_energies on _mel_words' weights, without its input checks, for the block loop's own words."""
+    acc = rshift_round_even_array(power_bins.astype(wq.dtype, copy=False) @ wq, 16)
+    return saturate_array(acc, cfg.energy_format, out=acc).astype(np.int64, copy=False)
 
 
 def log_compress(energies: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -561,30 +578,33 @@ class _Plan:
     taps: np.ndarray  # window: float values or int32 exact taps (N, 1), or int32 (N, 1, depth, 2) planes
     filterbank: MelFilterbank
     dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or int32 (n_mel, n_mfcc, 1, depth, 2) CSD planes
+    mel: np.ndarray  # (bins, n_mel) filterbank weights, or fixed mode's _mel_words
 
 
 @lru_cache(maxsize=None)
 def _plan(cfg: PipelineConfig) -> _Plan:
     """The constants cfg fixes, as the hardware fixes its ROM words and shift-add networks.
 
-    Holds the window taps and DCT bank in the mode's form, int32 in fixed mode like the sums they
-    meet (frame_and_window, dct_ii), and the mel filterbank.  cfg is frozen and checked when built, so
-    equal configs share one plan; its arrays are read-only so no caller can change a later call's bits.
+    Holds the window taps, DCT bank and mel weights in the mode's form, in fixed mode int32 like the sums they
+    meet (frame_and_window, dct_ii) and _mel_words, and the mel filterbank.  cfg is frozen and checked when
+    built, so equal configs share one plan; its arrays are read-only so no caller can change a later call's bits.
     """
     spec = window_coefficients(cfg.fft_size, cfg.window_policy, cfg.bit_width)
     k, n = np.ogrid[: cfg.n_mfcc, : cfg.n_mel]
     dct = np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_mel))
     taps = spec.values[:, np.newaxis]  # indexed (n, 1): broadcast against (n, frames) samples
+    fb = build_mel_filterbank(cfg)
+    mel = fb.weights.T
     if cfg.mode == "fixed":
         taps = (quantize_array(taps, cfg.sample_format) if cfg.window_policy == "exact"
                 else shift_add_planes([[a] for a in spec.approxs])).astype(np.int32)
         # indexed (n, k, 1): dct_ii broadcasts them against (n, 1, frames) log values
         dct = shift_add_planes([[[approx_csd(c, 2, cfg.bit_width - 1)] for c in col]
                                 for col in dct.T]).astype(np.int32)
-    fb = build_mel_filterbank(cfg)
-    for a in (taps, dct, fb.weights, fb.edges_hz):
+        mel = _mel_words(fb.weights, cfg.energy_format)
+    for a in (taps, dct, fb.weights, fb.edges_hz, mel):
         a.setflags(write=False)
-    return _Plan(taps, fb, dct)
+    return _Plan(taps, fb, dct, mel)
 
 
 def _power_stage(s: SignalBuffer, cfg: PipelineConfig, tail: bool = False):
@@ -622,7 +642,8 @@ def _power_stage(s: SignalBuffer, cfg: PipelineConfig, tail: bool = False):
 
 def _log_mel(power: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """mfcc_pipeline's mel and log stages on a power matrix, raw log words in fixed mode."""
-    return log_compress(mel_energies(power, _plan(cfg).filterbank, cfg), cfg)
+    mel = _plan(cfg).mel
+    return log_compress(power @ mel if cfg.mode == "float" else _mel_fixed(power, mel, cfg), cfg)
 
 
 def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:

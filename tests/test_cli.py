@@ -43,6 +43,24 @@ def test_gen_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("extra", (
+    ("--params", "null", "--freq", "500"),
+    ("--params", "[1, 2]", "--amp", "0.5"),
+    ("--params", "[1, 2]"),
+    ("--dur", "inf"),
+    ("--dur=-inf",),
+    ("--dur", "nan"),
+    ("--dur", "0"),
+), ids=("null-freq", "list-amp", "list", "inf", "minus-inf", "nan", "zero"))
+def test_gen_bad_params_or_duration_exit_two(tmp_path, capsys, extra):
+    # --params must be a JSON object and --dur finite and > 0: a list beside
+    # --freq raised AttributeError and an infinite duration OverflowError
+    code = dispatch(["gen", "--kind", "sine", "--out", str(tmp_path / "x.wav"), *extra])
+    assert code == EXIT_BAD_INPUT
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_mfcc_csv_output(tmp_path):
     wav = _gen(tmp_path)
     out = tmp_path / "feat.csv"

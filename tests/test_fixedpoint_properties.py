@@ -162,6 +162,25 @@ def test_rshift_round_even_array_writes_into_out(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_rshift_round_even_array_on_exact_float_words_matches_scalar(data):
+    # float32 FFT words and float64 mel sums hold integers below 2^24 and 2^53:
+    # scaling by 2^-s is exact and np.rint rounds a tie to even
+    dtype, digits = data.draw(st.sampled_from(((np.float32, 24), (np.float64, 53))))
+    s = data.draw(st.integers(0, digits))
+    top = (1 << digits) - 1
+    ties = st.integers(-(top >> s) // 2, (top >> s) // 2).map(lambda q: (2 * q + 1) << (s - 1) if s else q)
+    vs = data.draw(st.lists(st.one_of(st.integers(-top, top), ties, st.sampled_from((-top, top, -1, 0, 1))),
+                            min_size=1, max_size=24))
+    v = np.array(vs, dtype=dtype)
+    got = rshift_round_even_array(v, s)
+    assert got.dtype == dtype and v.tolist() == vs
+    assert got.astype(np.int64).tolist() == [_rshift_round_even(x, s) for x in vs]
+    out = np.full(2 * len(vs), 7, dtype=dtype)[::2]
+    assert rshift_round_even_array(v, s, out=out) is out and np.array_equal(out, got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_mul_raw_array_matches_fx_arith(data):
     fmt = data.draw(formats(max_bits=31))
     a = data.draw(raws(fmt, fmt.raw_min, fmt.raw_max))

@@ -547,7 +547,7 @@ def test_constants_are_derived_once_per_config(monkeypatch, mode, point):
 
     cfg = PipelineConfig(mode=mode, **PLAN_POINTS[point])
     s = _clip(cfg)
-    builders = ("window_coefficients", "build_mel_filterbank", "approx_csd", "shift_add_planes")
+    builders = ("window_coefficients", "build_mel_filterbank", "approx_csd", "shift_add_planes", "_mel_words")
     calls = dict.fromkeys((*builders, "exp"), 0)
 
     def counted(name, fn):
@@ -562,6 +562,7 @@ def test_constants_are_derived_once_per_config(monkeypatch, mode, point):
     frontend._plan.cache_clear()
     first = mfcc_pipeline(s, cfg)
     assert calls["window_coefficients"] == calls["build_mel_filterbank"] == 1
+    assert calls["_mel_words"] == (mode == "fixed")  # the mel weights are quantised once, not per block
     calls.update(dict.fromkeys(calls, 0))
     for _ in range(99):
         again = mfcc_pipeline(s, cfg)
@@ -580,6 +581,7 @@ def test_fixed_plan_holds_read_only_integer_arrays(policy):
         for a in (plan.taps, plan.dct):  # int32, the word of the window and DCT sums they meet
             assert a.dtype == np.int32 and not a.flags.writeable
         assert plan.dct.shape[:3] == (cfg.n_mel, cfg.n_mfcc, 1) and plan.dct.shape[-1] == 2
+        assert plan.mel.shape == (cfg.fft_size // 2 + 1, cfg.n_mel) and not plan.mel.flags.writeable
 
 
 # ---------------------------------------------------------------- distance

@@ -34,6 +34,9 @@ from kwsflow.frontend import (  # noqa: E402
     PreemphasisConfig,
     _fft_levels,
     _fft_r22,
+    _mel_fixed,
+    _mel_words,
+    _plan,
     _twiddle_rom,
     build_mel_filterbank,
     dct_ii,
@@ -46,8 +49,10 @@ from kwsflow.frontend import (  # noqa: E402
 from oracles import complex_frames, fft_r22_recursive, twiddles  # noqa: E402
 
 BIT_WIDTHS = (4, 7, 12, 16)
-# the widest int16 and the narrowest int32 FFT word
-WORD_EDGE_BITS = (8, 9)
+# the edges of the FFT's word tiers: the widest int16 and the narrowest float32 word,
+# the widest float32 and the narrowest int32 word
+WORD_EDGE_BITS = (8, 9, 12, 13)
+FFT_BITS = tuple(dict.fromkeys(BIT_WIDTHS + WORD_EDGE_BITS))
 LOG_LUT = [math.log2(1 + i / 16) for i in range(17)]
 
 
@@ -196,6 +201,20 @@ def full_scale_and_random_frames(fmt: QFormat, n: int, rows: int, rng):
     return np.concatenate([full, rand]), np.concatenate([rand, full])
 
 
+def fft_word(bits: int):
+    """The FFT word _twiddle_rom picks from the format's product bound."""
+    return np.int16 if bits <= 8 else np.float32 if bits <= 12 else np.int32
+
+
+def rom_raw(words: np.ndarray, fmt: QFormat) -> np.ndarray:
+    """ROM words as raw integers: a float32 ROM holds each word times 2^-f."""
+    if words.dtype.kind != "f":
+        return words
+    raw = words * (1 << fmt.frac_bits)
+    assert np.array_equal(raw, np.rint(raw))
+    return raw.astype(np.int64)
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -275,7 +294,7 @@ def test_fft_levels_match_recursion_on_random_frames(n, bits, data):
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
-@pytest.mark.parametrize("bits", BIT_WIDTHS + WORD_EDGE_BITS)
+@pytest.mark.parametrize("bits", FFT_BITS)
 def test_fft_levels_match_recursion_at_full_scale(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     rng = np.random.default_rng(n * 100 + bits)
@@ -333,8 +352,9 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
     i = np.arange(n // 4)
     rom, jw, trivial_rows = _twiddle_rom(n, fmt)
     assert rom.shape == jw.shape == (2, 3, 1, n // 4, 1) and trivial_rows.shape == (3, 1, n // 4, 1)
-    assert rom.dtype == jw.dtype == (np.int16 if bits <= 8 else np.int32)
+    assert rom.dtype == jw.dtype == fft_word(bits)
     assert not any(a.flags.writeable for a in (rom, jw, trivial_rows))
+    rom, jw = rom_raw(rom, fmt), rom_raw(jw, fmt)
     # jw = j w = (-w_im, w_re)
     assert np.array_equal(jw[0], -rom[1]) and np.array_equal(jw[1], rom[0])
     for b in range(3):
@@ -352,10 +372,14 @@ def test_twiddle_rom_stores_trivial_words_exactly(n, bits):
 
 @pytest.mark.parametrize("bits", range(2, 17))
 def test_fft_word_is_int16_up_to_8_bits_and_int32_above(bits):
+    # with float32 between them, at 9 to 12 bits
     fmt = PipelineConfig(bit_width=bits).sample_format
-    word = np.int16 if bits <= 8 else np.int32
-    # a twiddle product's bound sqrt(2) (raw_max + 1) (2^f + 1) fits the word
-    assert math.sqrt(2) * (fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1) < np.iinfo(word).max
+    word = fft_word(bits)
+    # a twiddle product's bound sqrt(2) (raw_max + 1) (2^f + 1) fits the word, float32
+    # holding every integer below 2^24, and would not fit the tier below it
+    bound = math.sqrt(2) * (fmt.raw_max + 1) * ((1 << fmt.frac_bits) + 1)
+    assert bound < (1 << 24 if word is np.float32 else np.iinfo(word).max)
+    assert bound >= {np.int16: 0, np.float32: 1 << 15, np.int32: 1 << 24}[word]
     for n in ALLOWED_FFT_SIZES:
         assert _twiddle_rom(n, fmt)[0].dtype == word
         frames = np.full((n, 3), fmt.raw_min, dtype=np.int64)
@@ -375,7 +399,7 @@ def test_float_twiddle_rom_holds_the_parts_of_each_twiddle(n):
 
 
 @pytest.mark.parametrize("n", ALLOWED_FFT_SIZES)
-@pytest.mark.parametrize("bits", BIT_WIDTHS + WORD_EDGE_BITS)
+@pytest.mark.parametrize("bits", FFT_BITS)
 def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     fmt = PipelineConfig(bit_width=bits).sample_format
     i, q = n // 8, n // 4
@@ -383,6 +407,7 @@ def test_fft_minus_j_bypass_carries_raw_max_plus_one(n, bits):
     # their difference to raw_min, on the branch whose twiddle at i is -j:
     # the unsaturated rotation leaves -raw_min = raw_max + 1
     rom, _, trivial = _twiddle_rom(n, fmt)
+    rom = rom_raw(rom, fmt)
     w_re, w_im, trivial = rom[0, 1, 0, i, 0], rom[1, 1, 0, i, 0], trivial[1, 0, i, 0]
     assert trivial and (w_re, w_im) == (0, -(1 << fmt.frac_bits))
     assert -rshift_round_even_array(np.int64(fmt.raw_min - fmt.raw_max), 1) == fmt.raw_max + 1
@@ -471,6 +496,34 @@ def test_mel_energies_match_shape_fork_at_full_scale(rate, n, n_mel, shape, bits
     want = mel_energies_fork(power, fb, cfg)
     assert np.any(want == efmt.raw_max)  # full-scale rows do saturate
     assert_same_bits(mel_energies(power, fb, cfg), want)
+
+
+@pytest.mark.parametrize("bits", range(2, 17))
+def test_mel_float64_product_matches_int64_product_at_full_scale(bits):
+    points = ((8000, 32, 8, "rectangular"), (16000, 256, 20, "triangular"),
+              (16000, 256, 40, "rectangular"), (16000, 256, 1, "triangular"), (16000, 256, 1, "rectangular"))
+    rng = np.random.default_rng(bits)
+    for rate, n, n_mel, shape in points:
+        cfg = PipelineConfig(sample_rate=rate, fft_size=n, n_mel=n_mel, n_mfcc=1,
+                             mel_shape=shape, bit_width=bits, mode="fixed")
+        efmt, fb = cfg.energy_format, build_mel_filterbank(cfg)
+        ints = quantize_array(fb.weights, QFormat(18, 16)).T
+        words = _mel_words(fb.weights, efmt)
+        assert words.dtype == _plan(cfg).mel.dtype and np.array_equal(words, ints)
+        # float64 exactly while every sum of products stays below 2^53
+        exact = (efmt.raw_max + 1) * int(ints.sum(axis=0).max()) < 1 << 53
+        assert words.dtype == (np.float64 if exact else np.int64)
+        power = np.concatenate([np.full((2, n // 2 + 1), efmt.raw_max),
+                                rng.integers(0, efmt.raw_max + 1, (30, n // 2 + 1))])
+        want = _mel_fixed(power, ints, cfg)
+        assert_same_bits(_mel_fixed(power, words, cfg), want)
+        assert_same_bits(mel_energies(power, fb, cfg), want)
+        assert_same_bits(want, mel_energies_fork(power, fb, cfg))
+    # one rectangular filter over 128 bins (the last point) falls back to int64 from 13 bits,
+    # where energies reach 2^30; at 16 bits its full-scale sum is 2^54 - 2^23
+    assert (words.dtype == np.int64) == (bits >= 13)
+    if bits == 16:
+        assert int(power[0] @ ints[:, 0]) == (1 << 54) - (1 << 23)
 
 
 # ----------------------------------------------------- non-contiguous input
