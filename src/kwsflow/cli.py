@@ -34,8 +34,8 @@ def _load_pipeline_config(path: str | None, mode: str) -> PipelineConfig:
 
 def _cmd_gen(args) -> int:
     params = json.loads(args.params) if args.params else {}
-    if not (isinstance(params, dict) and math.isfinite(args.dur) and args.dur > 0):
-        raise InvalidParams(f"need a JSON object --params and a finite --dur > 0, got {args.params}, {args.dur}")
+    if not (isinstance(params, dict) and math.isfinite(args.dur)):
+        raise InvalidParams(f"need a JSON object --params and a finite --dur, got {args.params}, {args.dur}")
     if args.freq is not None:
         params.setdefault("freq", args.freq)
     if args.amp is not None:

@@ -237,12 +237,13 @@ def window_coefficients(n: int, policy: WindowPolicy, bit_width: int = 7) -> Win
     return WindowSpec(np.array([a.value for a in approxs], dtype=float), tuple(approxs))
 
 
-def _check_raw(words: np.ndarray, fmt: QFormat) -> None:
-    """UnsupportedFormat unless words are raw integers in fmt, the range each fixed stage sizes its words to."""
+def _check_raw(words: np.ndarray, fmt: QFormat, lo: int | None = None) -> None:
+    """UnsupportedFormat unless words are raw integers in fmt (from lo, if given), the range a fixed stage sizes to."""
+    lo = fmt.raw_min if lo is None else lo
     if not np.issubdtype(words.dtype, np.integer):
         raise UnsupportedFormat(f"fixed mode takes raw integer words, got {words.dtype}")
-    if words.size and (words.min() < fmt.raw_min or words.max() > fmt.raw_max):
-        raise UnsupportedFormat(f"fixed mode takes raw words in [{fmt.raw_min}, {fmt.raw_max}], got {words.min()}..{words.max()}")
+    if words.size and (words.min() < lo or words.max() > fmt.raw_max):
+        raise UnsupportedFormat(f"fixed mode takes raw words in [{lo}, {fmt.raw_max}], got {words.min()}..{words.max()}")
 
 
 def frame_and_window(samples: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
@@ -493,9 +494,9 @@ def build_mel_filterbank(cfg: PipelineConfig) -> MelFilterbank:
 def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig) -> np.ndarray:
     """Per-filter weighted energy sums over a batch of frames.
 
-    Fixed mode puts every weight on the 2^-16 grid (a rectangular one is
-    exactly 2^16, so its shift is exact), sums the exact products, below
-    2^55 for 129 bins of energy < 2^31, in _mel_words' word, and rounds back by 16 bits.
+    Fixed mode takes raw power in [0, energy_format.raw_max] (else UnsupportedFormat), puts every weight on
+    the 2^-16 grid (a rectangular one is exactly 2^16, so its shift is exact), sums the products on
+    _mel_words' float64 words and rounds back by 16 bits.
     """
     if power_bins.shape[1] != fb.weights.shape[1]:
         raise DimensionMismatch(
@@ -503,19 +504,20 @@ def mel_energies(power_bins: np.ndarray, fb: MelFilterbank, cfg: PipelineConfig)
         )
     if cfg.mode == "float":
         return power_bins @ fb.weights.T
-    return _mel_fixed(power_bins, _mel_words(fb.weights, cfg.energy_format), cfg)
+    _check_raw(power_bins, cfg.energy_format, lo=0)
+    return _mel_fixed(power_bins, _mel_words(fb.weights), cfg)
 
 
-def _mel_words(weights: np.ndarray, efmt: QFormat) -> np.ndarray:
-    """Mel weights on the 2^-16 grid as (bins, n_mel) words: float64 while (raw_max + 1) x the largest row sum
-    < 2^53, so a BLAS matmul's products and partial sums are integers it holds exactly in any order; else int64."""
-    wq = quantize_array(weights, QFormat(18, 16)).T
-    return np.ascontiguousarray(wq, np.float64 if (efmt.raw_max + 1) * int(wq.sum(axis=0).max()) < 1 << 53 else None)
+def _mel_words(weights: np.ndarray) -> np.ndarray:
+    """Mel weights on the 2^-16 grid as C-ordered (bins, n_mel) float64 words.  On power in [0, 2^31) a product
+    is an integer < 2^47 and a partial sum one <= the full sum S, so a BLAS matmul is exact in any order while
+    S < 2^53; above, it is >= S (1 - 129 eps) >> (raw_max + 1) 2^16, so it saturates as the exact sum does."""
+    return np.ascontiguousarray(quantize_array(weights, QFormat(18, 16)).T, np.float64)
 
 
 def _mel_fixed(power_bins: np.ndarray, wq: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """Fixed mel_energies on _mel_words' weights, without its input checks, for the block loop's own words."""
-    acc = rshift_round_even_array(power_bins.astype(wq.dtype, copy=False) @ wq, 16)
+    acc = rshift_round_even_array(power_bins.astype(np.float64) @ wq, 16)
     return saturate_array(acc, cfg.energy_format, out=acc).astype(np.int64, copy=False)
 
 
@@ -578,31 +580,32 @@ class _Plan:
     taps: np.ndarray  # window: float values or int32 exact taps (N, 1), or int32 (N, 1, depth, 2) planes
     filterbank: MelFilterbank
     dct: np.ndarray  # (n_mfcc, n_mel) DCT-II cosines, or int32 (n_mel, n_mfcc, 1, depth, 2) CSD planes
-    mel: np.ndarray  # (bins, n_mel) filterbank weights, or fixed mode's _mel_words
+    mel: np.ndarray | None  # fixed mode's _mel_words, float64 (bins, n_mel); None in float mode
 
 
 @lru_cache(maxsize=None)
 def _plan(cfg: PipelineConfig) -> _Plan:
     """The constants cfg fixes, as the hardware fixes its ROM words and shift-add networks.
 
-    Holds the window taps, DCT bank and mel weights in the mode's form, in fixed mode int32 like the sums they
-    meet (frame_and_window, dct_ii) and _mel_words, and the mel filterbank.  cfg is frozen and checked when
-    built, so equal configs share one plan; its arrays are read-only so no caller can change a later call's bits.
+    Holds the window taps and DCT bank in the mode's form, int32 in fixed mode like the sums they meet
+    (frame_and_window, dct_ii), and the mel filterbank (and _mel_words in fixed mode).  cfg is frozen and checked
+    when built, so equal configs share one plan; its arrays are read-only so no caller can change later bits.
     """
     spec = window_coefficients(cfg.fft_size, cfg.window_policy, cfg.bit_width)
     k, n = np.ogrid[: cfg.n_mfcc, : cfg.n_mel]
     dct = np.cos(np.pi * k * (2 * n + 1) / (2 * cfg.n_mel))
     taps = spec.values[:, np.newaxis]  # indexed (n, 1): broadcast against (n, frames) samples
     fb = build_mel_filterbank(cfg)
-    mel = fb.weights.T
+    mel = None
     if cfg.mode == "fixed":
         taps = (quantize_array(taps, cfg.sample_format) if cfg.window_policy == "exact"
                 else shift_add_planes([[a] for a in spec.approxs])).astype(np.int32)
         # indexed (n, k, 1): dct_ii broadcasts them against (n, 1, frames) log values
         dct = shift_add_planes([[[approx_csd(c, 2, cfg.bit_width - 1)] for c in col]
                                 for col in dct.T]).astype(np.int32)
-        mel = _mel_words(fb.weights, cfg.energy_format)
-    for a in (taps, dct, fb.weights, fb.edges_hz, mel):
+        mel = _mel_words(fb.weights)
+        mel.setflags(write=False)
+    for a in (taps, dct, fb.weights, fb.edges_hz):
         a.setflags(write=False)
     return _Plan(taps, fb, dct, mel)
 
@@ -642,8 +645,9 @@ def _power_stage(s: SignalBuffer, cfg: PipelineConfig, tail: bool = False):
 
 def _log_mel(power: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
     """mfcc_pipeline's mel and log stages on a power matrix, raw log words in fixed mode."""
-    mel = _plan(cfg).mel
-    return log_compress(power @ mel if cfg.mode == "float" else _mel_fixed(power, mel, cfg), cfg)
+    plan = _plan(cfg)
+    mel = mel_energies(power, plan.filterbank, cfg) if cfg.mode == "float" else _mel_fixed(power, plan.mel, cfg)
+    return log_compress(mel, cfg)
 
 
 def mfcc_pipeline(s: SignalBuffer, cfg: PipelineConfig) -> PipelineResult:

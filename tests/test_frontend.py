@@ -380,6 +380,21 @@ def test_mel_energies_shape_and_dimension_check():
         mel_energies(np.ones((3, 16)), fb, cfg)
 
 
+def test_fixed_mel_rejects_power_outside_the_energy_format():
+    # the float64 product is exact, or saturates as the exact sum does, only on raw power in [0, raw_max]
+    cfg = PipelineConfig(mode="fixed")
+    fb, efmt = build_mel_filterbank(cfg), cfg.energy_format
+    for value in (-1, efmt.raw_max + 1, 2**53 + 1):
+        power = np.zeros((2, 17), dtype=np.int64)
+        power[1, 3] = value
+        with pytest.raises(UnsupportedFormat, match=rf"\[0, {efmt.raw_max}\]"):
+            mel_energies(power, fb, cfg)
+    with pytest.raises(UnsupportedFormat, match="float64"):
+        mel_energies(np.full((2, 17), 1.5), fb, cfg)
+    edges = np.array([[0, efmt.raw_max] * 8 + [0]])
+    assert mel_energies(edges, fb, cfg).dtype == np.int64
+
+
 # ---------------------------------------------------------------- log, DCT
 
 

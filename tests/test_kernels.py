@@ -508,20 +508,18 @@ def test_mel_float64_product_matches_int64_product_at_full_scale(bits):
                              mel_shape=shape, bit_width=bits, mode="fixed")
         efmt, fb = cfg.energy_format, build_mel_filterbank(cfg)
         ints = quantize_array(fb.weights, QFormat(18, 16)).T
-        words = _mel_words(fb.weights, efmt)
-        assert words.dtype == _plan(cfg).mel.dtype and np.array_equal(words, ints)
-        # float64 exactly while every sum of products stays below 2^53
-        exact = (efmt.raw_max + 1) * int(ints.sum(axis=0).max()) < 1 << 53
-        assert words.dtype == (np.float64 if exact else np.int64)
+        words = _mel_words(fb.weights)
+        assert words.dtype == np.float64 and words.flags.c_contiguous and np.array_equal(words, ints)
+        assert np.array_equal(_plan(cfg).mel, words)
         power = np.concatenate([np.full((2, n // 2 + 1), efmt.raw_max),
                                 rng.integers(0, efmt.raw_max + 1, (30, n // 2 + 1))])
-        want = _mel_fixed(power, ints, cfg)
+        want = saturate_array(rshift_round_even_array(power @ ints, 16), efmt)  # the exact int64 product
         assert_same_bits(_mel_fixed(power, words, cfg), want)
         assert_same_bits(mel_energies(power, fb, cfg), want)
         assert_same_bits(want, mel_energies_fork(power, fb, cfg))
-    # one rectangular filter over 128 bins (the last point) falls back to int64 from 13 bits,
-    # where energies reach 2^30; at 16 bits its full-scale sum is 2^54 - 2^23
-    assert (words.dtype == np.int64) == (bits >= 13)
+    # one rectangular filter over 128 bins (the last point) sums full-scale power past 2^53 from 14 bits,
+    # where a float64 sum need not be exact but saturates as the exact one does; at 16 bits it is 2^54 - 2^23
+    assert (int(power[0] @ ints[:, 0]) >= 1 << 53) == (bits >= 14)
     if bits == 16:
         assert int(power[0] @ ints[:, 0]) == (1 << 54) - (1 << 23)
 
