@@ -10,6 +10,7 @@ byte-identical across runs and across any checkpoint/resume split.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -317,34 +318,41 @@ class RemoteReasoner:
 # stage execution
 # ---------------------------------------------------------------------------
 
-def _safe_join(root: Path, rel: str) -> Path:
-    """root / rel, refused unless it lies inside root (already resolved).
+def _safe_join(root: str, rel: str) -> str:
+    """root/rel, normalised, refused unless it lies inside root (already resolved).
 
     Only a ".." or a symlink among rel's components can take a path that
     starts with root outside it, so the path is resolved only then.
     """
-    target = root / rel
-    path = root
-    for part in Path(rel).parts:
-        path = path / part
-        if part == ".." or path.is_symlink():
-            target = target.resolve()
+    target = os.path.join(root, rel)  # rel itself when it is absolute
+    path = os.sep if os.path.isabs(rel) else root
+    for part in rel.split(os.sep):
+        path = os.path.join(path, part)
+        if part == ".." or os.path.islink(path):
+            target = os.path.realpath(target)
             break
-    if not str(target).startswith(str(root) + os.sep):
+    if not (target := os.path.normpath(target)).startswith(root + os.sep):
         raise ConfigInvalid(f"write escapes the workspace: {rel}")
     return target
 
 
-def _write_artifact(state: FlowState, root: Path, rel: str, content: str) -> None:
+def _write_artifact(state: FlowState, root: str, rel: str, content: str) -> None:
     """The one way an artifact is written: a file under root, the resolved
-    workdir, plus its digest."""
+    workdir, plus the digest of the bytes written."""
     path = _safe_join(root, rel)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if os.path.dirname(path) != root:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    data = content.encode("utf-8")
     # written over in place, then cut to length: ext4 flushes a file truncated to zero
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
-        f.write(content)
-        f.truncate()
-    state.paths[rel] = _digest(content)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # a regular file takes it in one write
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+    state.paths[rel] = hashlib.sha256(data).hexdigest()
 
 
 def run_stage(
@@ -360,7 +368,7 @@ def run_stage(
     if budget < 1:
         raise ConfigInvalid("stage budget must be >= 1")
     state.statuses[stage] = "running"
-    root = Path(workdir).resolve()
+    root = os.path.realpath(workdir)
     proposal = state.pending_proposal
     start = len([r for r in state.history if r.stage == stage])
     for iteration in range(start, budget):
@@ -502,7 +510,7 @@ def _run_architecture(state: FlowState, acfg: dict, workdir: Path) -> None:
         report, ok = run_dse(acfg.get("corpus"), acfg.get("dse")), True
     except DseStageError as exc:
         report, ok = exc.report, False
-    root = workdir.resolve()
+    root = os.path.realpath(workdir)
     if ok:
         _write_artifact(state, root, "design_point.json", json.dumps(
             report.chosen_point.as_dict(), indent=2, sort_keys=True) + "\n")
@@ -552,9 +560,9 @@ def _execute(config: dict, state: FlowState,
     adapters = {s: _build_adapter(stages_cfg[s], s, skip=sum(r.stage == s for r in state.history))
                 for s in ("rtl", "synthesis") if s in stages_cfg}
     reasoner = _build_reasoner(config.get("reasoner", {"kind": "scripted"})) if adapters else None
+    journal = None if checkpoint_path is None else _Journal(checkpoint_path, config)
     workdir = Path(config["workdir"])
     workdir.mkdir(parents=True, exist_ok=True)
-    journal = None if checkpoint_path is None else _Journal(checkpoint_path, config)
 
     def after_record(st: FlowState) -> None:
         if journal is not None:
@@ -577,6 +585,9 @@ def _execute(config: dict, state: FlowState,
                 break
     except _StopRequested:
         pass
+    finally:
+        if journal is not None and journal.file is not None:
+            journal.file.close()
     # the file at rest is one document, unless this run's one save already wrote it
     if journal is not None and (journal.lines or journal.records is None):
         save_checkpoint(state, config, checkpoint_path)
@@ -589,9 +600,11 @@ def run_flow(config: dict, checkpoint_path: str | Path | None = None,
 
     stop_after halts the run once that many history records exist (the
     checkpoint, if configured, is saved first), which lets callers
-    exercise resume at any iteration boundary.
+    exercise resume at any iteration boundary; it must be at least 1.
     """
     validate_config(config)
+    if stop_after is not None and stop_after < 1:
+        raise ValueError(f"stop_after must be >= 1, got {stop_after}")
     return _execute(config, FlowState(), checkpoint_path, stop_after)
 
 
@@ -624,22 +637,24 @@ def save_checkpoint(state: FlowState, config: dict, path: str | Path) -> None:
 
 
 class _Journal:
-    """One run's checkpoint writes: a full save at the run's first record,
-    then one appended line per record holding what changed since the last
-    save.  _execute saves in full again when the run returns."""
+    """One run's checkpoint writes: a full save at the run's first record, then
+    one line per record holding what changed since, written and flushed through
+    the append handle that save opens.  _execute closes it, then saves in full."""
 
     def __init__(self, path: str | Path, config: dict) -> None:
         self.path, self.config = Path(path), config
-        self.records, self.paths, self.lines = None, {}, 0  # what the file holds
+        if not self.path.parent.is_dir():  # checked before the run makes its workdir
+            raise ConfigInvalid(f"checkpoint directory does not exist: {path}")
+        self.records, self.paths, self.lines, self.file = None, {}, 0, None  # what the file holds
 
     def save(self, state: FlowState) -> None:
-        if self.records is None:
+        if self.file is None:
             save_checkpoint(state, self.config, self.path)
+            self.file = self.path.open("a", encoding="utf-8")  # no rename, no truncate: no ext4 writeback
         else:
             changed = {k: v for k, v in state.paths.items() if self.paths.get(k) != v}
-            line = json.dumps(dict(state.as_dict(since=self.records), paths=changed), sort_keys=True)
-            with self.path.open("a", encoding="utf-8") as f:  # no rename, no truncate: no ext4 writeback
-                f.write(line + "\n")
+            self.file.write(json.dumps(dict(state.as_dict(since=self.records), paths=changed), sort_keys=True) + "\n")
+            self.file.flush()  # the whole line is in the file when save returns
             self.lines += 1
         self.records, self.paths = len(state.history), dict(state.paths)
 

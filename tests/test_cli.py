@@ -228,6 +228,19 @@ def test_flow_bad_physical_config_exits_two(tmp_path, capsys):
     assert not (tmp_path / "work").exists()
 
 
+def test_flow_checkpoint_in_a_missing_directory_exits_two_before_the_workdir(tmp_path, capsys):
+    scen, script, cfg = tmp_path / "scen.json", tmp_path / "script.json", tmp_path / "flow.json"
+    scen.write_text(json.dumps([{"status": "pass"}]))
+    script.write_text(json.dumps({"rtl": [{"writes": {"top.v": "x"}}]}))
+    cfg.write_text(json.dumps({"workdir": str(tmp_path / "work"),
+                               "stages": {"rtl": {"adapter": "mock", "scenario": str(scen)}},
+                               "reasoner": {"kind": "scripted", "script": str(script)}}))
+    ck = tmp_path / "nodir" / "ck.json"
+    assert dispatch(["flow", "run", "--config", str(cfg), "--checkpoint", str(ck)]) == EXIT_BAD_INPUT
+    assert "ConfigInvalid" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists() and not (tmp_path / "nodir").exists()
+
+
 def test_bad_arguments_exit_two(tmp_path):
     assert dispatch(["mfcc", "--bogus"]) == EXIT_BAD_INPUT
     assert dispatch(["nonsense"]) == EXIT_BAD_INPUT

@@ -279,6 +279,33 @@ def test_write_through_symlink_inside_workdir_allowed(tmp_path):
     assert (work / "real" / "top.v").read_text() == "y"
 
 
+@pytest.mark.parametrize("rel, want", [
+    ("", None), (".", None), ("a/..", None), ("/outside.v", None), ("{root}/link/x.v", None),
+    ("a/", "a"), ("./a//b", "a/b"), ("{root}/a/b", "a/b"), ("link_in/x.v", "real/x.v"),
+], ids=["empty", "dot", "dot_dot", "absolute_outside", "absolute_through_link",
+        "trailing_slash", "dot_and_double_slash", "absolute_inside", "link_inside"])
+def test_safe_join_normalises_inside_paths_and_refuses_the_rest(tmp_path, rel, want):
+    root = tmp_path / "work"
+    (root / "real").mkdir(parents=True)
+    (tmp_path / "outside").mkdir()
+    (root / "link").symlink_to(tmp_path / "outside", target_is_directory=True)
+    (root / "link_in").symlink_to(root / "real", target_is_directory=True)
+    rel = rel.format(root=root)
+    if want is None:
+        with pytest.raises(ConfigInvalid, match="escapes the workspace"):
+            flow._safe_join(str(root), rel)
+    else:
+        assert flow._safe_join(str(root), rel) == str(root / want)
+
+
+def test_artifact_digest_is_that_of_the_utf8_bytes_written(tmp_path):
+    state, text = FlowState(), "// r\u00e9vision \u2713\n"
+    flow._write_artifact(state, str(tmp_path), "top.v", text)
+    data = (tmp_path / "top.v").read_bytes()
+    assert data == text.encode("utf-8")
+    assert state.paths == {"top.v": hashlib.sha256(data).hexdigest()}
+
+
 # ------------------------------------------------------------- scripted loop
 
 
@@ -741,6 +768,81 @@ def test_appended_bytes_do_not_grow_with_history(tmp_path, monkeypatch):
     # a full save at that point writes the whole history
     save_checkpoint(load_checkpoint(ck, cfg), cfg, tmp_path / "full.json")
     assert len(lines[99].encode()) * 10 < (tmp_path / "full.json").stat().st_size
+
+
+@pytest.mark.parametrize("stop_after", [0, -1])
+def test_stop_after_below_one_rejected_before_the_workdir_is_made(tmp_path, stop_after):
+    cfg = _journal_config(tmp_path, [_fail("a"), _pass()])
+    with pytest.raises(ValueError, match="stop_after"):
+        run_flow(cfg, checkpoint_path=tmp_path / "ck.json", stop_after=stop_after)
+    assert not Path(cfg["workdir"]).exists() and not (tmp_path / "ck.json").exists()
+
+
+def test_stop_after_one_stops_after_one_record(tmp_path):
+    cfg = _journal_config(tmp_path, [_fail("a"), _pass()])
+    assert len(run_flow(cfg, checkpoint_path=tmp_path / "ck.json", stop_after=1).history) == 1
+    assert len(load_checkpoint(tmp_path / "ck.json", cfg).history) == 1
+
+
+def test_checkpoint_in_a_missing_directory_rejected_before_the_workdir_is_made(tmp_path):
+    cfg = _journal_config(tmp_path, [_pass()])
+    with pytest.raises(ConfigInvalid, match="checkpoint directory"):
+        run_flow(cfg, checkpoint_path=tmp_path / "nodir" / "ck.json")
+    assert not Path(cfg["workdir"]).exists() and not (tmp_path / "nodir").exists()
+
+
+def _append_handles(monkeypatch):
+    """Every handle Path.open gives in append mode, in order."""
+    handles, path_open = [], Path.open
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        f = path_open(path, mode, *args, **kwargs)
+        if "a" in mode:
+            handles.append(f)
+        return f
+
+    monkeypatch.setattr(Path, "open", recording_open)
+    return handles
+
+
+def test_a_run_opens_its_checkpoint_for_appending_at_most_once(tmp_path, monkeypatch):
+    cfg = _journal_config(tmp_path, [_fail("a"), _fail("b"), _fail("c"), _pass()])
+    ck = tmp_path / "ck.json"
+    handles = _append_handles(monkeypatch)
+    run_flow(cfg, checkpoint_path=ck, stop_after=3)
+    assert len(handles) == 1 and handles[0].closed
+    resume_flow(cfg, ck)
+    assert len(handles) == 2 and handles[1].closed
+    run_flow(cfg)  # no checkpoint, no handle
+    assert len(handles) == 2
+
+
+def test_each_saved_record_is_a_complete_line_to_another_reader(tmp_path, monkeypatch):
+    cfg = _journal_config(tmp_path, [_fail("a"), _fail("b"), _fail("c"), _pass()])
+    ck = tmp_path / "ck.json"
+    lines, save = [], flow._Journal.save
+
+    def save_then_read(journal, state):
+        save(journal, state)
+        with open(ck, encoding="utf-8") as f:  # a reader of its own, not the journal's handle
+            text = f.read()
+        assert text.endswith("\n")
+        lines.append(text.count("\n"))
+        back = load_checkpoint(ck, cfg)
+        assert (back.statuses, back.paths, back.history) == (state.statuses, state.paths, state.history)
+
+    monkeypatch.setattr(flow._Journal, "save", save_then_read)
+    run_flow(cfg, checkpoint_path=ck)
+    assert lines == [1, 2, 3, 4, 5]  # the document, then a line per rtl record and the skipped physical
+
+
+def test_a_stage_that_raises_leaves_no_open_handle(tmp_path, monkeypatch):
+    cfg = _journal_config(tmp_path, [_fail("a"), _fail("b"), _pass()])
+    handles = _append_handles(monkeypatch)
+    _crash_at_call(monkeypatch, 2)
+    with pytest.raises(OSError, match="crash at call 2"):
+        run_flow(cfg, checkpoint_path=tmp_path / "ck.json")
+    assert len(handles) == 1 and handles[0].closed
 
 
 # ----------------------------------------------------------- remote reasoner

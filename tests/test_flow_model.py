@@ -61,27 +61,29 @@ def _snapshot(state: flow.FlowState) -> str:
 
 
 class _Faults:
-    """Counts checkpoint write steps in one run; crashes at step `at`,
-    leaving the first `cut` characters of a write behind."""
+    """Counts checkpoint write steps in one run: a full save's .tmp write and
+    rename, and each write to the journal's append handle.  Crashes at step
+    `at`, leaving the first `cut` characters of a write behind."""
 
     def __init__(self, mp: pytest.MonkeyPatch, at: int | None, cut: int) -> None:
         self.step, self.at, self.cut = 0, at, cut
         write_text, path_open, replace = Path.write_text, Path.open, flow.os.replace
         faults = self
 
-        class TornAppend:
+        class CrashingAppends:
+            """An append handle whose every write is one crash step."""
+
             def __init__(self, f) -> None:
                 self.f = f
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc) -> None:
-                self.f.close()
+            def __getattr__(self, name):
+                return getattr(self.f, name)
 
             def write(self, text: str) -> None:
-                self.f.write(text[:faults.cut % (len(text) + 1)])
-                raise _Crash("append")
+                if faults.crashes():
+                    self.f.write(text[:faults.cut % (len(text) + 1)])
+                    raise _Crash("append")
+                self.f.write(text)
 
         def torn_write_text(path, text, *args, **kwargs):
             if path.name.endswith(".tmp") and self.crashes():
@@ -89,9 +91,9 @@ class _Faults:
                 raise _Crash("full save")
             return write_text(path, text, *args, **kwargs)
 
-        def torn_open(path, mode="r", *args, **kwargs):
+        def append_open(path, mode="r", *args, **kwargs):
             f = path_open(path, mode, *args, **kwargs)
-            return TornAppend(f) if mode == "a" and self.crashes() else f
+            return CrashingAppends(f) if mode == "a" else f
 
         def crashing_replace(*args):
             if self.crashes():
@@ -99,12 +101,24 @@ class _Faults:
             return replace(*args)
 
         mp.setattr(Path, "write_text", torn_write_text)
-        mp.setattr(Path, "open", torn_open)
+        mp.setattr(Path, "open", append_open)
         mp.setattr(flow.os, "replace", crashing_replace)
 
     def crashes(self) -> bool:
         self.step += 1
         return self.step - 1 == self.at
+
+
+@pytest.mark.parametrize("at", [None, *range(SAVE_STEPS)])
+def test_a_crash_fires_at_every_save_step(tmp_path, at):
+    ck = tmp_path / "ck.json"
+    with pytest.MonkeyPatch.context() as mp:
+        faults = _Faults(mp, at, 0)
+        with pytest.raises(_Crash) if at is not None else contextlib.nullcontext():
+            run_flow(_config(tmp_path, 4), checkpoint_path=ck)
+    assert faults.step == (SAVE_STEPS if at is None else at + 1)
+    if at is not None and 2 <= at < 2 + RECORDS:  # append k = at - 2 leaves the document and k lines
+        assert ck.read_text().count("\n") == 1 + (at - 2)
 
 
 class FlowFaultMachine(RuleBasedStateMachine):
